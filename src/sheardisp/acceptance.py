@@ -280,7 +280,7 @@ def criterion_8_moment_machinery() -> CriterionResult:
 def criterion_9_steady_taylor() -> CriterionResult:
     t0 = time.time()
     v = GridFunction.from_callable(lambda y: y - 0.5, 512)
-    target = 1.0 + 1.0 / 60.0
+    target = 1.0 + 1.0 / 30.0
     err = abs(taylor_steady(v, 2.0) - target)
     checks = [(err <= 1e-12, f"closed form err {err:.2e}<=1e-12")]
     cfg = SimConfig(dt=0.01, n_particles=40_000, seed=9, pe=2.0)

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .ou_process import OUPath
-from .spectral_core import GridFunction, cosine_project, cosine_eigenvalue
+from .ou_process import OUPath, _cumtrapz
+from .spectral_core import GridFunction, _decay_filter_forward, cosine_project, cosine_eigenvalue
 from .eff_diffusivity import EigenData
 
 
@@ -85,42 +84,20 @@ class CorrelatorSpec:
 # pathwise solve
 # ---------------------------------------------------------------------------
 
-def _mode_filter(xi: np.ndarray, dts: np.ndarray, lam: float) -> np.ndarray:
-    """q(t_k) for q' = -lam q + xi with xi piecewise linear on the grid."""
-    dt = float(dts[0])
-    eps = math.exp(-lam * dt)
-    one_minus = -math.expm1(-lam * dt)
-    # exact step integral for linear xi: A xi_left + B xi_right
-    a_w = one_minus / (lam * lam * dt) - eps / lam
-    b_w = 1.0 / lam - one_minus / (lam * lam * dt)
-    inp = np.empty_like(xi)
-    inp[0] = 0.0
-    inp[1:] = a_w * xi[:-1] + b_w * xi[1:]
-    return lfilter([1.0], [1.0, -eps], inp)
-
-
-def _cumtrapz(values: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[0] = 0.0
-    out[1:] = np.cumsum(0.5 * dts * (values[:-1] + values[1:]))
-    return out
-
-
-def _uniform_steps(path: OUPath) -> np.ndarray:
+def _uniform_step(path: OUPath) -> float:
     dts = np.diff(path.times)
     if dts.size == 0:
         raise ValueError("path must contain more than one node")
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("Aris solves require a uniform path grid")
-    return dts
+    return float(dts[0])
 
 
 def exp_weighted_integral(path: OUPath, lam: float) -> np.ndarray:
     """J(t_k) = int_0^{t_k} xi(s) e^{-lam s} int_0^s e^{lam tau} xi(tau) dtau ds,
     evaluated stably through the running mode amplitude."""
-    dts = _uniform_steps(path)
-    q = _mode_filter(path.xi, dts, lam)
-    return _cumtrapz(path.xi * q, dts)
+    dt = _uniform_step(path)
+    return _cumtrapz(path.xi * _decay_filter_forward(path.xi, dt, lam), dt)
 
 
 def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> ArisRecord:
@@ -134,7 +111,7 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
         raise ValueError("n_max must be >= 1")
     if path.integral is None or path.values is None:
         raise ValueError("path must carry xi values and the populated integral")
-    dts = _uniform_steps(path)
+    dt = _uniform_step(path)
     coeffs = cosine_project(u, n_max)
     ubar = coeffs[0]
     xi = path.xi
@@ -144,10 +121,11 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
     modes = np.empty((n_max, path.times.size))
     for n in range(1, n_max + 1):
         lam = cosine_eigenvalue(n)
-        q = _mode_filter(xi, dts, lam)
+        # q_n(t_k) for q' = -lambda_n q + xi, xi linear on each step
+        q = _decay_filter_forward(xi, dt, lam)
         modes[n - 1] = pe * coeffs[n] * q
         if coeffs[n] != 0.0:
-            centered += 2.0 * pe**2 * coeffs[n] ** 2 * _cumtrapz(xi * q, dts)
+            centered += 2.0 * pe**2 * coeffs[n] ** 2 * _cumtrapz(xi * q, dt)
     t2 = centered + t1**2
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(path.times > 0, centered / (2.0 * path.times), np.nan)

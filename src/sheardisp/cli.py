@@ -69,10 +69,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     merged = {}
     if getattr(args, "config", None):
         merged.update(json.loads(Path(args.config).read_text()))
-    sub_action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_action.choices[args.command]
-    defaults = {a.dest: a.default for a in subparser._actions}
+    defaults = vars(parser.parse_args([args.command]))
     for key, value in vars(args).items():
         if key in ("config", "func", "command"):
             continue
@@ -189,8 +186,7 @@ def cmd_simulate(cfg: dict) -> int:
             else FlowSpec.multiplicative(u, cfg["bc"]))
     init = (InitialData.gaussian(cfg["init_s"]) if cfg.get("init_s")
             else InitialData.delta_line())
-    sim = SimConfig(dt=cfg["dt"], n_particles=cfg["particles"],
-                    n_realizations=cfg["realizations"], seed=cfg["seed"],
+    sim = SimConfig(dt=cfg["dt"], n_particles=cfg["particles"], seed=cfg["seed"],
                     bc=cfg["bc"], pe=cfg["pe"])
     grid = time_grid(cfg["t_end"], cfg["dt"])
     keeper = {}

@@ -27,7 +27,6 @@ from .spectral_core import (
     HermiteSeries,
     hermite_norm,
     helmholtz_inverse,
-    cumint,
 )
 
 
@@ -83,10 +82,7 @@ class FlowSpec:
             return self.profile(y) * xi
         if gamma is None or gamma <= 0:
             raise ValueError("general flows need gamma to unscale the Hermite variable")
-        z = xi / math.sqrt(gamma)
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([self.profile.synthesize(float(yj), np.array(z)) for yj in y_arr])
-        return out.reshape(np.shape(y))
+        return self.profile.synthesize(y, xi / math.sqrt(gamma))
 
 
 @dataclass(frozen=True)
@@ -283,12 +279,25 @@ def lambda_white(u: GridFunction, pe: float) -> EigenData:
 
 def taylor_steady(v: GridFunction, pe: float) -> float:
     """Steady-shear Taylor dispersion
-    kappa_eff = 1 + (Pe^2/2) int_0^1 (int_0^y v)^2 dy,
-    evaluated in the Galilean frame (the cross-sectional mean of v is
-    removed before integrating)."""
+    kappa_eff = 1 + Pe^2 <vbar, (-Lap)^{-1} vbar> = 1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy,
+    the n = 0 resolvent term of lambda2_general, with vbar = v minus its
+    cross-sectional mean (Galilean frame) and no-flux walls."""
     centered = v.centered()
-    primitive = cumint(centered.values, v.nodes)
-    return 1.0 + 0.5 * pe**2 * float(simpson(primitive**2, x=v.nodes))
+    return 1.0 + pe**2 * _inner_boole(centered, helmholtz_inverse(centered, 0.0, "no-flux"))
+
+
+def _inner_boole(a: GridFunction, b: GridFunction) -> float:
+    """<a, b> by Richardson extrapolation of the h and 2h Simpson sums
+    (Boole's rule, exact for quintics).  Simpson alone when the grid has
+    no 2h Simpson subgrid (intervals not divisible by 4).
+
+    At lambda = 0 the inverse of a polynomial profile is a polynomial, so
+    Simpson's h^4 error on the product is the only error left."""
+    f = a.values * b.values
+    fine = float(simpson(f, x=a.nodes))
+    if (a.nodes.size - 1) % 4:
+        return fine
+    return (16.0 * fine - float(simpson(f[::2], x=a.nodes[::2]))) / 15.0
 
 
 def small_gamma_asymptotic(kappa: float, g: float, gamma: float, L: float) -> float:

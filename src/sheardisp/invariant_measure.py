@@ -26,9 +26,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc
-
-from .spectral_core import bessel_k0
+from scipy.special import erfc, k0e
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,7 @@ def pdf_random_wave(z):
     out = np.full(z_arr.shape, np.inf)
     nz = z_arr != 0.0
     q = z_arr[nz] ** 2 / 4.0
-    out[nz] = np.exp(-q) * bessel_k0(q) * _RW_NORM
+    out[nz] = k0e(q) * np.exp(-2.0 * q) * _RW_NORM   # e^{-q} K0(q)
     return float(out[0]) if scalar else out
 
 

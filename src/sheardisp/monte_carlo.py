@@ -9,6 +9,13 @@ driven by a single shared OU path per realization -- the same path feeds
 the forward solver, the backward point evaluator, and the analytic wind
 model, so single-realization comparisons are meaningful.
 
+Only Y is simulated.  Given the cross-channel path, X is exactly Gaussian
+with mean x0 + Pe D, D = int v(Y, xi) dt, and variance 2t, so both
+solvers share one reflected y-walk that accumulates D.  The forward
+solver records exact conditional moments of X (no x noise enters them)
+and draws X only once, at the end; the backward solver draws the
+start point the same way.
+
 Reflection is positional folding (y -> |y|, y -> 2 - y), which is exact
 in distribution for the uniform invariant measure and adequate for
 sqrt(2 dt) << 1.  xi is taken at step midpoints of the supplied path;
@@ -35,7 +42,6 @@ class SimConfig:
 
     dt: float = 1e-3
     n_particles: int = 10_000
-    n_realizations: int = 1
     seed: int = 0
     bc: str = "no-flux"
     pe: float = 1.0
@@ -43,8 +49,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.n_particles < 1 or self.n_realizations < 1:
-            raise ValueError("particle and realization counts must be >= 1")
+        if self.n_particles < 1:
+            raise ValueError("particle count must be >= 1")
         if self.pe < 0:
             raise ValueError("Pe must be nonnegative")
         if self.bc not in ("no-flux", "periodic"):
@@ -59,8 +65,6 @@ class InitialData:
     s: Optional[float] = None            # gaussian variance
     a: Optional[float] = None            # random-wave wavenumber
     amplitude: Optional[complex] = None  # random-wave complex amplitude A
-    alpha: Optional[float] = None        # spectral exponent
-    cutoff: Optional[object] = None      # spectral cutoff profile
 
     @classmethod
     def delta_line(cls) -> "InitialData":
@@ -75,10 +79,6 @@ class InitialData:
     @classmethod
     def random_wave(cls, a: float, amplitude: complex) -> "InitialData":
         return cls("random-wave", a=a, amplitude=complex(amplitude))
-
-    @classmethod
-    def spectral(cls, alpha: float, cutoff) -> "InitialData":
-        return cls("spectral", alpha=alpha, cutoff=cutoff)
 
     @property
     def mass(self) -> float:
@@ -124,11 +124,13 @@ class ForwardResult:
     n_particles: int
     final_x: Optional[np.ndarray] = None
     final_y: Optional[np.ndarray] = None
+    _kappa_se: float = field(default=math.nan, repr=False)
 
     def kappa_standard_error(self) -> float:
-        """Rough MC standard error of the final kappa estimate (Gaussian
-        approximation for the sample-variance fluctuation)."""
-        return float(self.var_x[-1] / (2.0 * self.times[-1]) * math.sqrt(2.0 / (self.n_particles - 1)))
+        """MC standard error of the final kappa estimate: the fourth-moment
+        standard error of the sample variance of the conditional means
+        m = x0 + Pe D, divided by 2t (the 2t of x noise is exact)."""
+        return self._kappa_se
 
 
 def _fold(y: np.ndarray) -> np.ndarray:
@@ -156,48 +158,69 @@ def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
     return n_steps
 
 
+def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
+            cfg: SimConfig, rng: np.random.Generator):
+    """Reflected Euler y-walk accumulating D = sum_k v(Y_k, xi_k) dt.
+
+    ``xi_mid`` holds one xi value per step, in stepping order.  Yields
+    (Y, D) before the first step and after every step; D is one array
+    updated in place, so read it before advancing the walk.
+    """
+    n = y.size
+    drift = np.zeros(n)
+    sqrt2dt = math.sqrt(2.0 * cfg.dt)
+    yield y, drift
+    for xi in xi_mid:
+        drift += flow.velocity(y, xi, gamma) * cfg.dt
+        y = _apply_bc(y + sqrt2dt * rng.standard_normal(n), cfg.bc)
+        if y.size != n or np.any((y < 0.0) | (y > 1.0)):
+            raise AssertionError("particle left the channel: reflection broke mass conservation")
+        yield y, drift
+
+
+def _xi_midpoints(path: Optional[OUPath], n_steps: int) -> np.ndarray:
+    if path is None:
+        return np.zeros(n_steps)
+    xi = path.values[:n_steps + 1]
+    return 0.5 * (xi[:-1] + xi[1:])
+
+
 def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: float,
                      cfg: SimConfig, path: Optional[OUPath] = None,
                      n_record: int = 50, n_y_bins: int = 10,
                      keep_positions: bool = False,
                      realization: int = 0) -> ForwardResult:
-    """Euler-Maruyama particle ensemble for one flow realization.
+    """Forward particle ensemble for one flow realization.
 
     ``path`` supplies the shared xi realization (required unless the flow
     is steady); randomness beyond xi is the per-particle Brownian noise,
-    seeded from (cfg.seed, realization).
+    seeded from (cfg.seed, realization).  Moments are exact given the
+    y-paths: with m = x0 + Pe D, <x> = <m> and <x^2> = <m^2> + 2t, and the
+    y-binned variance is that of m plus 2t.  ``final_x`` is drawn from
+    N(m, 2t), which has the law of an Euler scheme that also steps x.
     """
-    needs_path = flow.kind != "steady"
-    if needs_path and (path is None or path.values is None):
+    if flow.kind == "steady":
+        path = None
+    elif path is None or path.values is None:
         raise ValueError("non-steady flows require an OU path with xi values")
     dt = cfg.dt
     if dt * math.pi**2 > 0.25:
         warnings.warn("dt does not resolve the slowest cross-channel mode; "
                       "y-resolved moment post-processing will be biased",
                       RuntimeWarning)
-    n_steps = _step_indices(path if needs_path else None, t_end, dt)
+    n_steps = _step_indices(path, t_end, dt)
     rng = np.random.default_rng(realization_seed(cfg.seed, realization))
-    x, y = init.sample_particles(cfg.n_particles, rng)
+    x0, y = init.sample_particles(cfg.n_particles, rng)
 
     stride = max(1, n_steps // n_record)
-    rec_t, rec_m1, rec_m2 = [0.0], [float(np.mean(x))], [float(np.mean(x * x))]
-    sqrt2dt = math.sqrt(2.0 * dt)
-    xi = path.values if needs_path else None
-    for k in range(n_steps):
-        if needs_path:
-            xi_mid = 0.5 * (xi[k] + xi[k + 1])
-            v = flow.velocity(y, xi_mid, gamma)
-        else:
-            v = flow.velocity(y, 0.0)
-        noise = rng.standard_normal((2, cfg.n_particles))
-        x = x + cfg.pe * v * dt + sqrt2dt * noise[0]
-        y = _apply_bc(y + sqrt2dt * noise[1], cfg.bc)
-        if y.size != cfg.n_particles or np.any((y < 0.0) | (y > 1.0)):
-            raise AssertionError("particle left the channel: reflection broke mass conservation")
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            rec_t.append((k + 1) * dt)
-            rec_m1.append(float(np.mean(x)))
-            rec_m2.append(float(np.mean(x * x)))
+    rec_t, rec_m1, rec_m2 = [], [], []
+    xi_mid = _xi_midpoints(path, n_steps)
+    for k, (y, drift) in enumerate(_y_walk(flow, gamma, xi_mid, y, cfg, rng)):
+        if k % stride == 0 or k == n_steps:
+            m = x0 + cfg.pe * drift
+            rec_t.append(k * dt)
+            rec_m1.append(float(np.mean(m)))
+            rec_m2.append(float(np.mean(m * m)) + 2.0 * k * dt)
 
     times = np.array(rec_t)
     t1 = np.array(rec_m1)
@@ -206,6 +229,12 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(times > 0, var / (2.0 * times), np.nan)
 
+    t = times[-1]
+    c = m - np.mean(m)
+    var_m = float(np.mean(c * c))
+    se_var_m = math.sqrt(max(float(np.mean(c**4)) - var_m**2, 0.0) / cfg.n_particles)
+    kappa_se = se_var_m / (2.0 * t) if t > 0 else math.nan
+
     edges = np.linspace(0.0, 1.0, n_y_bins + 1)
     which = np.clip(np.digitize(y, edges) - 1, 0, n_y_bins - 1)
     mean_by = np.full(n_y_bins, np.nan)
@@ -213,15 +242,19 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     for b in range(n_y_bins):
         sel = which == b
         if np.any(sel):
-            mean_by[b] = float(np.mean(x[sel]))
-            var_by[b] = float(np.var(x[sel]))
+            mean_by[b] = float(np.mean(m[sel]))
+            var_by[b] = float(np.var(m[sel])) + 2.0 * t
 
+    final_x = None
+    if keep_positions:
+        final_x = m + math.sqrt(2.0 * t) * rng.standard_normal(cfg.n_particles)
     return ForwardResult(
         times=times, t1bar=t1, t2bar=t2, var_x=var, kappa_estimate=kappa,
         y_bin_edges=edges, x_mean_by_bin=mean_by, x_var_by_bin=var_by,
         n_particles=cfg.n_particles,
-        final_x=x if keep_positions else None,
+        final_x=final_x,
         final_y=y if keep_positions else None,
+        _kappa_se=kappa_se,
     )
 
 
@@ -238,19 +271,13 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
         return float(init.value(np.array(x), y)), 0.0
     if path.values is None:
         raise ValueError("backward evaluation needs pointwise xi values")
-    dt = cfg.dt
-    n_steps = _step_indices(path, t, dt)
+    n_steps = _step_indices(path, t, cfg.dt)
     rng = np.random.default_rng(realization_seed(cfg.seed, realization))
     n = cfg.n_particles
-    xi = path.values
-    ypos = np.full(n, float(y))
-    drift = np.zeros(n)
-    sqrt2dt = math.sqrt(2.0 * dt)
-    for k in range(n_steps):
-        # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
-        xi_mid = 0.5 * (xi[n_steps - k] + xi[n_steps - k - 1])
-        drift += flow.velocity(ypos, xi_mid, gamma) * dt
-        ypos = _apply_bc(ypos + sqrt2dt * rng.standard_normal(n), cfg.bc)
+    # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
+    xi_mid = _xi_midpoints(path, n_steps)[::-1]
+    for ypos, drift in _y_walk(flow, gamma, xi_mid, np.full(n, float(y)), cfg, rng):
+        pass
     x0 = x - cfg.pe * drift + math.sqrt(2.0 * t) * rng.standard_normal(n)
     vals = np.asarray(init.value(x0, ypos), dtype=float)
     est = float(np.mean(vals))

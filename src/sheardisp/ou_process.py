@@ -146,14 +146,17 @@ def integrate_path(path: OUPath) -> OUPath:
     """Populate the running trapezoidal integral I(t) along the path."""
     if path.values is None:
         raise ValueError("path has no pointwise values to integrate")
-    t, xi = path.times, path.values
-    integ = np.empty_like(t)
-    integ[0] = 0.0
-    if t.size > 1:
-        steps = 0.5 * np.diff(t) * (xi[:-1] + xi[1:])
-        integ[1:] = np.cumsum(steps)
-    path.integral = integ
+    path.integral = _cumtrapz(path.values, np.diff(path.times))
     return path
+
+
+def _cumtrapz(values: np.ndarray, dt) -> np.ndarray:
+    """Running trapezoidal integral, zero at the first node; ``dt`` is the
+    step, one per interval or a scalar for a uniform grid."""
+    out = np.empty(values.size)
+    out[0] = 0.0
+    out[1:] = np.cumsum(0.5 * dt * (values[:-1] + values[1:]))
+    return out
 
 
 def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,

@@ -16,11 +16,12 @@ derivative built on top of these kernels, so do not swap it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.signal import lfilter
+from scipy.special import k0
 
 
 class SolvabilityError(ValueError):
@@ -41,7 +42,6 @@ class GridFunction:
 
     nodes: np.ndarray
     values: np.ndarray
-    quadrature: str = field(default="simpson")
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -56,8 +56,6 @@ class GridFunction:
             raise ValueError("grid must span [0, 1]")
         if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
             raise ValueError("grid must be uniform")
-        if self.quadrature != "simpson":
-            raise ValueError("only composite Simpson quadrature is supported")
 
     @classmethod
     def from_callable(cls, f, n: int = 512) -> "GridFunction":
@@ -81,7 +79,7 @@ class GridFunction:
         return float(simpson(self.values * other.values, x=self.nodes))
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.nodes, values, self.quadrature)
+        return GridFunction(self.nodes, values)
 
     def centered(self) -> "GridFunction":
         return self.with_values(self.values - self.mean())
@@ -317,11 +315,12 @@ class HermiteSeries:
         return out
 
     def synthesize(self, y, z):
-        """Evaluate sum_n a_n(y) H_n(z) (+shift) at scalar y, array z."""
-        z = np.asarray(z, dtype=float)
-        out = np.full_like(z, self.shift)
+        """Evaluate sum_n a_n(y) H_n(z) (+shift); y and z broadcast, so one
+        call serves scalar y with an array of z, or particle positions y
+        at one z."""
+        out = self.shift
         for n, c in enumerate(self.coeffs):
-            out += float(c(y)) * hermite_eval(n, z)
+            out = out + c(y) * hermite_eval(n, z)
         return out
 
 
@@ -380,82 +379,10 @@ def cosine_eigenvalue(n: int) -> float:
 # modified Bessel function K0
 # ---------------------------------------------------------------------------
 
-_EULER_GAMMA_LD = np.longdouble("0.5772156649015328606065120900824024310421")
-
-def _k0_series(x: np.ndarray) -> np.ndarray:
-    # K0 = -(log(x/2) + gamma) I0(x) + sum_k (x^2/4)^k / (k!)^2 * H_k.
-    # The two parts cancel badly as x grows; extended precision keeps the
-    # result good to ~1e-11 relative up to the x = 11 crossover.
-    x = x.astype(np.longdouble)
-    q = x * x / 4.0
-    term = np.ones_like(q)
-    i0 = np.ones_like(q)
-    acc = np.zeros_like(q)
-    harmonic = np.longdouble(0.0)
-    for k in range(1, 90):
-        term = term * q / np.longdouble(k * k)
-        i0 += term
-        harmonic += np.longdouble(1.0) / np.longdouble(k)
-        acc += term * harmonic
-    out = -(np.log(x / 2.0) + _EULER_GAMMA_LD) * i0 + acc
-    return out.astype(float)
-
-
-def _k0_asymptotic(x: np.ndarray) -> np.ndarray:
-    # K0 ~ sqrt(pi/(2x)) e^{-x} [1 - 1/(8x) + 9/(2!(8x)^2) - ...],
-    # summed to the smallest term.
-    x = x.astype(np.longdouble)
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    prev_mag = np.full_like(x, np.inf)
-    for k in range(1, 40):
-        term = term * (-(2 * k - 1) ** 2) / (np.longdouble(8 * k) * x)
-        mag = np.abs(term)
-        grow = mag >= prev_mag
-        term = np.where(grow, 0.0, term)   # stop once terms start growing
-        acc += term
-        prev_mag = np.where(grow, 0.0, mag)
-    out = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-    return out.astype(float)
-
-
-_K0_GH_NODES, _K0_GH_WEIGHTS = np.polynomial.hermite.hermgauss(80)
-
-
-def _k0_laplace(x: np.ndarray) -> np.ndarray:
-    # Exact Laplace-type representation behind the large-x expansion:
-    # K0 = int_1^inf e^{-x t} (t^2-1)^{-1/2} dt
-    #    = (e^{-x}/sqrt(x)) int_{-inf}^{inf} e^{-w^2} / sqrt(2 + w^2/x) dw,
-    # evaluated by Gauss-Hermite quadrature (the integrand is analytic with
-    # singularities a distance sqrt(2x) off the axis, so 80 nodes reach
-    # machine precision throughout the midrange).
-    w2 = _K0_GH_NODES**2
-    vals = _K0_GH_WEIGHTS[None, :] / np.sqrt(2.0 + w2[None, :] / x[:, None])
-    return np.exp(-x) / np.sqrt(x) * vals.sum(axis=1)
-
-
 def bessel_k0(x) -> np.ndarray:
-    """Modified Bessel function K0(x), x > 0, to better than 1e-10 relative.
-
-    Ascending series below x = 2 (extended precision rides out the
-    log/I0 cancellation); asymptotic expansion above x = 16 where its
-    smallest term is below target; in between, the Laplace-type integral
-    whose expansion the asymptotic series is, evaluated exactly by
-    Gauss-Hermite quadrature.
-    """
+    """Modified Bessel function K0(x), x > 0 (scipy.special.k0)."""
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
     if np.any(x_arr <= 0.0):
         raise ValueError("K0 is defined for x > 0 only")
-    out = np.empty_like(x_arr)
-    small = x_arr < 2.0
-    large = x_arr >= 16.0
-    mid = ~small & ~large
-    if np.any(small):
-        out[small] = _k0_series(x_arr[small])
-    if np.any(mid):
-        out[mid] = _k0_laplace(x_arr[mid])
-    if np.any(large):
-        out[large] = _k0_asymptotic(x_arr[large])
-    return float(out[0]) if scalar else out
+    out = k0(x_arr)
+    return float(out) if x_arr.ndim == 0 else out
