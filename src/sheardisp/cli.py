@@ -141,7 +141,7 @@ def cmd_kappa_eff(cfg: dict) -> int:
         }
     record.update({"lambda2": eig.lambda2, "lambda11": eig.lambda11,
                    "kappa_eff": eig.kappa_eff})
-    record["steady_taylor_kappa_eff"] = taylor_steady(u, cfg["pe"])
+    record["steady_taylor_kappa_eff"] = taylor_steady(u, cfg["pe"], bc=cfg["bc"])
     json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -6,11 +6,14 @@ lambda2 and lambda11, with enhanced diffusivity
 
     kappa_eff = (lambda2 - lambda11) / 2   >= 1.
 
-This module evaluates the Hermite-series formulas for general flows
-v(y, sqrt(gamma) z) = sum_n a_n(y) H_n(z), the closed forms for
-multiplicative flows u(y)*xi(t), the white-noise limit, the steady
-Taylor limit, and the dimensional linear-shear expression with its
-small-damping asymptotics.
+Every lambda2 here is built from the terms of
+lambda2 = 2 + sum_n 2 Pe^2 n! 2^n <a_n, (n gamma - Lap)^{-1} a_n> of a flow
+v(y, sqrt(gamma) z) = sum_n a_n(y) H_n(z), evaluated by ``_lambda2_term``:
+steady Taylor dispersion is the n = 0 term of a_0 = vbar, a multiplicative
+flow u(y) xi(t) the n = 1 term of a_1 = u sqrt(gamma)/2, and white noise its
+gamma -> infinity limit.  Also: the dual-route lambda11, the dimensional
+linear-shear expression with its small-damping asymptotics, and the
+zero-diffusivity random limit.
 """
 
 from __future__ import annotations
@@ -137,6 +140,11 @@ class Lambda11Result(NamedTuple):
 _SERIES_RTOL = 1e-12
 
 
+def _lambda2_term(a: GridFunction, n: int, gamma: float, pe: float, bc: str) -> float:
+    """The n-th term 2 Pe^2 n! 2^n <a, (n gamma - Lap)^{-1} a> of lambda2 - 2."""
+    return 2.0 * pe**2 * hermite_norm(n) * a.inner(helmholtz_inverse(a, n * gamma, bc))
+
+
 def lambda2_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int] = None,
                     truncation_tol: float = 1e-6) -> Lambda2Result:
     """lambda2 = 2 + 2 Pe^2 sum_n n! 2^n int a_n (n*gamma - Lap)^{-1} a_n dy.
@@ -152,17 +160,9 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int] 
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     series = _require_general(flow)
-    if n_h is None:
-        n_h = series.n_modes
-    n_h = min(n_h, series.n_modes)
-    terms = []
-    for n in range(n_h + 1):
-        a_n = series.coeffs[n]
-        if np.max(np.abs(a_n.values)) == 0.0:
-            terms.append(0.0)
-            continue
-        b_n = helmholtz_inverse(a_n, n * gamma, flow.bc)
-        terms.append(2.0 * pe**2 * hermite_norm(n) * a_n.inner(b_n))
+    n_h = series.n_modes if n_h is None else min(n_h, series.n_modes)
+    terms = [_lambda2_term(a_n, n, gamma, pe, flow.bc) if np.any(a_n.values) else 0.0
+             for n, a_n in enumerate(series.coeffs[:n_h + 1])]
     total = sum(terms)
     scale = max(abs(total), 1e-300)
     significant = [n for n, t in enumerate(terms) if abs(t) >= _SERIES_RTOL * scale]
@@ -199,9 +199,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     series = _require_general(flow)
-    if n_h is None:
-        n_h = series.n_modes
-    n_h = min(n_h, series.n_modes)
+    n_h = series.n_modes if n_h is None else min(n_h, series.n_modes)
     abar = series.mean_coefficients()[:n_h + 1]
 
     value = 0.0
@@ -258,46 +256,31 @@ def _require_general(flow: FlowSpec) -> HermiteSeries:
 
 def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
                           bc: str = "no-flux") -> EigenData:
-    """Closed form for v = u(y) xi(t):
-    lambda2 = 2 + Pe^2 gamma int u (gamma - Lap)^{-1} u,
+    """Closed form for v = u(y) xi(t), the n = 1 term of a_1 = u sqrt(gamma)/2:
+    lambda2 = 2 + Pe^2 gamma <u, (gamma - Lap)^{-1} u>,
     lambda11 = Pe^2 (int u)^2."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    b = helmholtz_inverse(u, gamma, bc)
-    lambda2 = 2.0 + pe**2 * gamma * u.inner(b)
+    a_1 = u.with_values(0.5 * math.sqrt(gamma) * u.values)
+    lambda2 = 2.0 + _lambda2_term(a_1, 1, gamma, pe, bc)
     lambda11 = pe**2 * u.mean() ** 2
     return EigenData.from_lambdas(lambda2, lambda11, gamma, pe)
 
 
 def lambda_white(u: GridFunction, pe: float) -> EigenData:
-    """White-noise (zero correlation time) limit:
-    lambda2 = 2 + Pe^2 int u^2, lambda11 = Pe^2 (int u)^2."""
+    """White noise, the gamma -> infinity limit of the n = 1 term, where
+    gamma (gamma - Lap)^{-1} u -> u: lambda2 = 2 + Pe^2 <u, u>, lambda11 = Pe^2 (int u)^2."""
     lambda2 = 2.0 + pe**2 * u.inner(u)
     lambda11 = pe**2 * u.mean() ** 2
     return EigenData.from_lambdas(lambda2, lambda11, math.inf, pe)
 
 
-def taylor_steady(v: GridFunction, pe: float) -> float:
-    """Steady-shear Taylor dispersion
-    kappa_eff = 1 + Pe^2 <vbar, (-Lap)^{-1} vbar> = 1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy,
-    the n = 0 resolvent term of lambda2_general, with vbar = v minus its
-    cross-sectional mean (Galilean frame) and no-flux walls."""
-    centered = v.centered()
-    return 1.0 + pe**2 * _inner_boole(centered, helmholtz_inverse(centered, 0.0, "no-flux"))
-
-
-def _inner_boole(a: GridFunction, b: GridFunction) -> float:
-    """<a, b> by Richardson extrapolation of the h and 2h Simpson sums
-    (Boole's rule, exact for quintics).  Simpson alone when the grid has
-    no 2h Simpson subgrid (intervals not divisible by 4).
-
-    At lambda = 0 the inverse of a polynomial profile is a polynomial, so
-    Simpson's h^4 error on the product is the only error left."""
-    f = a.values * b.values
-    fine = float(simpson(f, x=a.nodes))
-    if (a.nodes.size - 1) % 4:
-        return fine
-    return (16.0 * fine - float(simpson(f[::2], x=a.nodes[::2]))) / 15.0
+def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:
+    """Steady-shear Taylor dispersion, the n = 0 term of a_0 = vbar:
+    kappa_eff = 1 + Pe^2 <vbar, (-Lap)^{-1} vbar>, with vbar = v minus its
+    cross-sectional mean (Galilean frame); with no-flux walls this is
+    1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy."""
+    return 1.0 + 0.5 * _lambda2_term(v.centered(), 0, 0.0, pe, bc)
 
 
 def small_gamma_asymptotic(kappa: float, g: float, gamma: float, L: float) -> float:

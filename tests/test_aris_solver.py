@@ -100,6 +100,24 @@ class TestKappaFromRealization:
             kappa_from_realization(rec, (20.0, 25.0))
 
 
+class TestEnhancementGate:
+    def test_ensemble_enhancement_matches_closed_form(self):
+        # Pe = 10 makes the shear enhancement kappa - 1 = 0.38 rather than
+        # 0.004 at Pe = 1: pure diffusion reads ratio 0 and a factor-2 error
+        # 0.5 or 2, each tens of SE from 1.  Seeds 0-10 and 2020 read ensemble
+        # means 0.978-1.007 (mean 0.995), SE 0.0088-0.013, worst |z| = 2.5
+        u = linear_profile()
+        enh = lambda_multiplicative(u, 1.0, 10.0).kappa_eff - 1.0
+        grid = time_grid(400.0, 0.005)
+        ratios = []
+        for i in range(60):
+            path = sample_ou(OUParams(1.0), grid, seed=1, realization=i)
+            rec = solve_aris(u, 10.0, path, n_max=9)
+            ratios.append((rec.kappa_estimate[-1] - 1.0) / enh)
+        se = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
+        assert abs(np.mean(ratios) - 1.0) < 5.0 * se
+
+
 class TestOUIntegralIdentity:
     def test_reference_value(self):
         # n = 1, gamma = pi^2: rhs = 1/4; ensemble mean of lhs approaches it

@@ -37,6 +37,13 @@ class TestKappaEff:
         rec = json.loads(out)
         assert rec["kappa_eff"] == pytest.approx(1.0, abs=1e-14)
 
+    def test_steady_taylor_periodic_walls(self, capsys):
+        # u = y with periodic walls: 1 + Pe^2/720, not the no-flux 1 + Pe^2/120
+        code, out = run_cli(["kappa-eff", "--flow", "linear", "--bc", "periodic",
+                             "--pe", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["steady_taylor_kappa_eff"] == pytest.approx(1 + 4 / 720, abs=1e-12)
+
     def test_custom_profile_file(self, tmp_path, capsys):
         y = np.linspace(0, 1, 101)
         np.savetxt(tmp_path / "u.csv", np.column_stack([y, y]), delimiter=",")

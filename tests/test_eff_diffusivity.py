@@ -175,6 +175,40 @@ class TestGeneralSeries:
         assert eig.kappa_eff == pytest.approx(1.0, abs=1e-11)
 
 
+class TestResolventOracles:
+    """Exact values of single lambda2 resolvent terms through the general series."""
+
+    def test_n0_series_exact(self):
+        # [y - 1/2, 0] at Pe 20: kappa = 1 + Pe^2/120 = 13/3; measured error
+        # 8e-15 (plain Simpson on the inner product read 1.3e-10)
+        v = GridFunction(NODES, NODES - 0.5)
+        eig = kappa_eff_general(FlowSpec.general(HermiteSeries([v, ZEROS])), 1.0, 20.0)
+        assert abs(eig.kappa_eff - 13 / 3) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 100.0, 1e4])
+    def test_n1_series_matches_multiplicative(self, gamma):
+        # the one-mode series [0, u sqrt(gamma)/2, 0] is the flow u(y) xi(t);
+        # gamma = 1e4 runs the s > 12 scaled branch.  Worst measured gap 1.3e-13
+        # (gamma = 0.1, where lambda2 - 2 and lambda11 nearly cancel)
+        pe = 10.0
+        a1 = GridFunction(NODES, NODES * math.sqrt(gamma) / 2)
+        series = kappa_eff_general(FlowSpec.general(HermiteSeries([ZEROS, a1, ZEROS])), gamma, pe)
+        closed = lambda_multiplicative(linear_profile(), gamma, pe)
+        assert abs((series.kappa_eff - 1) / (closed.kappa_eff - 1) - 1) < 1e-12
+
+    @pytest.mark.parametrize("gamma, pe", [(1.0, 2.0), (0.1, 2.0), (10.0, 5.0)])
+    def test_n2_eigenfunction(self, gamma, pe):
+        # a_2 = cos(pi y) is a Neumann eigenfunction with zero mean:
+        # lambda2 - 2 = 2 Pe^2 2! 2^2 (1/2) / (2 gamma + pi^2), lambda11 = 0.
+        # Measured relative error 1.0e-10 to 1.2e-10, the cumulative-Simpson
+        # floor of the lambda > 0 inverse: margin about 90x
+        a2 = GridFunction(NODES, np.cos(np.pi * NODES))
+        series = HermiteSeries([ZEROS, ZEROS, a2, ZEROS])
+        eig = kappa_eff_general(FlowSpec.general(series), gamma, pe)
+        exact = 4 * pe**2 / (2 * gamma + math.pi**2)
+        assert abs((eig.kappa_eff - 1) / exact - 1) < 1e-8
+
+
 class TestSteadyTaylor:
     def test_linear_shifted(self):
         v = GridFunction.from_callable(lambda y: y - 0.5, 512)
@@ -191,6 +225,12 @@ class TestSteadyTaylor:
     def test_cosine(self):
         v = cosine_profile(1)
         assert abs(taylor_steady(v, 1.0) - (1 + 1 / (2 * np.pi**2))) < 1e-10
+
+    def test_periodic_walls(self):
+        # periodic (-Lap)^{-1} on the sawtooth y - 1/2, |c_k| = 1/(2 pi k):
+        # sum_{k != 0} (2 pi k)^{-4} = 1/720, against 1/120 with no-flux walls
+        v = GridFunction.from_callable(lambda y: y - 0.5, 512)
+        assert abs(taylor_steady(v, 2.0, bc="periodic") - (1 + 4 / 720)) < 1e-12
 
     def test_galilean_frame(self):
         # adding a constant to v must not change the dispersion

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from sheardisp.spectral_core import (
     GridFunction,
@@ -34,6 +34,17 @@ class TestGridFunction:
         g = GridFunction.from_callable(lambda y: np.sin(np.pi * y), 128)
         assert abs(g.integral() - 2 / np.pi) < 1e-8
         assert abs(g.centered().mean()) < 1e-14
+
+    def test_inner_rule(self):
+        # Boole's rule is exact for quintics when 4 divides the interval
+        # count (Simpson misses int y^5 by 8.1e-5 at n = 8); with n = 10 the
+        # inner product is plain Simpson, which misses it by 3.3e-5
+        for n, boole in ((8, True), (10, False)):
+            sq = GridFunction.from_callable(lambda y: y**2, n)
+            cube = GridFunction.from_callable(lambda y: y**3, n)
+            expected = 1 / 6 if boole else simpson(sq.nodes**5, x=sq.nodes)
+            assert sq.inner(cube) == pytest.approx(expected, abs=1e-15)
+            assert abs(simpson(sq.nodes**5, x=sq.nodes) - 1 / 6) > 1e-5
 
 
 class TestHelmholtzNeumann:
