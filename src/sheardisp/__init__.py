@@ -20,8 +20,7 @@ from .spectral_core import (
     GridFunction,
     HermiteSeries,
     SolvabilityError,
-    helmholtz_inverse_neumann,
-    helmholtz_inverse_periodic,
+    helmholtz_inverse,
     hermite_eval,
     hermite_norm,
     hermite_project,

@@ -251,8 +251,5 @@ def gaussian_variance_spectral(alpha: float, cutoff, kappa_eff: float, t: float,
     def integrand(h):
         return h**alpha * cutoff(h) ** 2 * math.exp(-kappa_eff * h * h * t)
 
-    if math.isfinite(h_max):
-        val, _ = quad(integrand, 0.0, h_max, limit=200)
-    else:
-        val, _ = quad(integrand, 0.0, np.inf, limit=200)
+    val, _ = quad(integrand, 0.0, h_max, limit=200)
     return 2.0 * val

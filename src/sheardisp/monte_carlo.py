@@ -342,7 +342,7 @@ def simulate_random_wave(a: float, pe: float, ubar: float, kappa_eff: float,
 
 @dataclass
 class PDFEstimate:
-    """Normalized histogram plus the empirical CDF of a sample set."""
+    """Normalized histogram and sorted samples (KS distance, moments) of a sample set."""
 
     sorted_samples: np.ndarray
     bin_edges: np.ndarray
@@ -351,9 +351,6 @@ class PDFEstimate:
     @property
     def n(self) -> int:
         return self.sorted_samples.size
-
-    def empirical_cdf(self, x) -> np.ndarray:
-        return np.searchsorted(self.sorted_samples, np.asarray(x), side="right") / self.n
 
     def ks_distance(self, cdf) -> float:
         """Kolmogorov-Smirnov distance against an analytic CDF callable."""

@@ -1,9 +1,12 @@
 """Shared numerical kernels.
 
-Closed-form Helmholtz/Laplace inverse operators on the channel cross
-section [0, 1] (no-flux and periodic boundary conditions), physicists'
-Hermite polynomials and Gauss-Hermite projections, cosine-basis
-projections, and the modified Bessel function K0.
+One Helmholtz/Laplace inverse (-d^2/dy^2 + lambda)^{-1} on the channel
+cross section [0, 1]: for lambda > 0 the free-space kernel
+exp(-s|y - q|)/(2s), s = sqrt(lambda), plus one decaying exponential per
+wall, whose two coefficients are all that no-flux and periodic walls
+change; for lambda = 0 a double antiderivative.  Also grid functions with
+one inner-product rule, physicists' Hermite polynomials and Gauss-Hermite
+projections, cosine-basis projections, and the modified Bessel function K0.
 
 Convention fixed throughout the package: *physicists'* Hermite
 polynomials, orthogonal under the weight exp(-z^2) with
@@ -117,8 +120,8 @@ def cumint(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Helmholtz / Laplace inverses
 # ---------------------------------------------------------------------------
 
-# Above this sqrt(lambda) the cosh/sinh closed form loses ~e^{2s}*eps to
-# internal cancellation; the scaled decaying-kernel form takes over.
+# Up to this s = sqrt(lambda) the kernel integral rescales by exp(s*y) <= e^12;
+# above it the exponential step filter takes over.
 _LARGE_S = 12.0
 
 
@@ -134,139 +137,58 @@ def _decay_filter_forward(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
     return lfilter([1.0], [1.0, -eps], inp)
 
 
-def _decay_filter_backward(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
-    """F(y_k) = int_{y_k}^1 exp(-s (q - y_k)) a(q) dq."""
-    return _decay_filter_forward(a_vals[::-1], h, s)[::-1]
-
-
-def _decay_cumulative(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
-    """W(y_k) = int_0^{y_k} exp(-s q) a(q) dq, a linear per step.
-
-    The weight collapses within one step once s*h >> 1, where trapezoid
-    on the product would be badly biased; each step integrates the
-    exponential exactly against the linear interpolant instead.
-    """
-    eps = np.exp(-s * h)
-    one_minus = -np.expm1(-s * h)
-    i0 = one_minus / s                       # int_0^h e^{-s w} dw
-    i1 = (1.0 - eps * (1.0 + s * h)) / (s * s)   # int_0^h e^{-s w} w dw
-    left = a_vals[:-1]
-    slope = np.diff(a_vals) / h
-    k = np.arange(a_vals.size - 1)
-    steps = np.exp(-s * h * k) * (left * i0 + slope * i1)
-    out = np.empty_like(a_vals)
-    out[0] = 0.0
-    out[1:] = np.cumsum(steps)
-    return out
-
-
-def _neumann_large(a: GridFunction, s: float) -> GridFunction:
-    # Green's function in decaying-exponential form,
-    # G = [e^{-s|y-q|} + e^{-s(y+q)} + e^{-s(2-y-q)} + e^{-s(2-|y-q|)}]
-    #     / (2 s (1 - e^{-2s})),
-    # with every exponent nonpositive.
-    y, h = a.nodes, a.h
-    f_fwd = _decay_filter_forward(a.values, h, s)
-    f_bwd = _decay_filter_backward(a.values, h, s)
-    w_fwd = _decay_cumulative(a.values, h, s)            # int_0^y e^{-s q} a dq
-    w_bwd = _decay_cumulative(a.values[::-1], h, s)[::-1]  # int_y^1 e^{-s(1-q)} a dq
-    b = (f_fwd + f_bwd
-         + np.exp(-s * y) * w_fwd[-1] + np.exp(-s * (1.0 - y)) * w_bwd[0]
-         # e^{-2s} image: int e^{-s(2-|y-q|)} a dq
-         + np.exp(-s * (2.0 - y)) * w_fwd + np.exp(-s * (1.0 + y)) * w_bwd)
-    return a.with_values(b / (2.0 * s * (-np.expm1(-2.0 * s))))
-
-
-def _periodic_large(a: GridFunction, s: float) -> GridFunction:
-    # G = [e^{-s|y-q|} + e^{-s(1-|y-q|)}] / (2 s (1 - e^{-s}))
-    y, h = a.nodes, a.h
-    f_fwd = _decay_filter_forward(a.values, h, s)
-    f_bwd = _decay_filter_backward(a.values, h, s)
-    w_fwd = _decay_cumulative(a.values, h, s)
-    w_bwd = _decay_cumulative(a.values[::-1], h, s)[::-1]
-    wrap = np.exp(-s * (1.0 - y)) * w_fwd + np.exp(-s * y) * w_bwd
-    return a.with_values((f_fwd + f_bwd + wrap) / (2.0 * s * (-np.expm1(-s))))
-
-
-def helmholtz_inverse_neumann(a: GridFunction, lam: float) -> GridFunction:
-    """Solve -b'' + lam*b = a on [0,1] with b'(0) = b'(1) = 0.
-
-    Evaluates the closed-form integral representation
-
-        b(y) = [cosh(s*y) * int_0^1 a(q) cosh(s*(1-q)) dq / sinh(s)
-                - int_0^y a(q) sinh(s*(y-q)) dq] / s,        s = sqrt(lam)
-
-    for lam > 0; for lam = 0 (solvable only when a has zero mean) the
-    double antiderivative -int_0^y int_0^{y1} a.  All integrals are
-    composite Simpson on the sampling grid, so the convolution term uses
-    the expansion sinh(s*(y-q)) = sinh(s*y)cosh(s*q) - cosh(s*y)sinh(s*q)
-    and two cumulative antiderivatives.  That split cancels like
-    exp(2s)*eps in floating point, so beyond s = 12 the same Green's
-    function is evaluated through exponentially scaled decaying kernels
-    instead, trading Simpson's O(N^-4) for uniformly bounded roundoff.
-    """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    y = a.nodes
-    if lam == 0.0:
-        if not a.is_zero_mean():
-            raise SolvabilityError("Neumann inverse at lambda=0 needs zero-mean data")
-        second = cumint(cumint(a.values, y), y)
-        return a.with_values(-second)
-    s = np.sqrt(lam)
+def _decay_integral(a_vals: np.ndarray, y: np.ndarray, s: float) -> np.ndarray:
+    """F(y) = int_0^y exp(-s (y - q)) a(q) dq: exp(-s y) times the cumulative
+    Simpson integral of exp(s q) a(q) (fourth order, no cancellation) up to
+    s = _LARGE_S, the exponential step filter (second order) above it."""
     if s > _LARGE_S:
-        return _neumann_large(a, s)
-    ch, sh = np.cosh(s * y), np.sinh(s * y)
-    boundary = float(simpson(a.values * np.cosh(s * (1.0 - y)), x=y))
-    cum_ch = cumint(a.values * ch, y)
-    cum_sh = cumint(a.values * sh, y)
-    conv = sh * cum_ch - ch * cum_sh            # int_0^y a(q) sinh(s(y-q)) dq
-    b = (ch * boundary / np.sinh(s) - conv) / s
-    return a.with_values(b)
-
-
-def helmholtz_inverse_periodic(a: GridFunction, lam: float) -> GridFunction:
-    """Solve -b'' + lam*b = a with b(0) = b(1), b'(0) = b'(1).
-
-    lam > 0 uses the closed form built from sinh/cosh kernels centered at
-    y - 1/2 (equivalent to the periodic Green's function
-    cosh(s*(|y-q|-1/2)) / (2 s sinh(s/2))).  lam = 0 requires zero-mean
-    data and returns
-
-        b(y) = -D(y) + D(1)*y + D(1),   D(y) = int_0^y int_0^{y1} a,
-
-    whose linear coefficient D(1) (rather than the mean of a) is what
-    periodicity b(0) = b(1) forces once a has zero mean.
-    """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    y = a.nodes
-    if lam == 0.0:
-        if not a.is_zero_mean():
-            raise SolvabilityError("periodic inverse at lambda=0 needs zero-mean data")
-        second = cumint(cumint(a.values, y), y)
-        d1 = second[-1]
-        return a.with_values(-second + d1 * y + d1)
-    s = np.sqrt(lam)
-    if s > _LARGE_S:
-        return _periodic_large(a, s)
-    denom = 2.0 * s * np.sinh(s / 2.0)
-    int_sh = float(simpson(a.values * np.sinh(s * (1.0 - y)), x=y))
-    int_ch = float(simpson(a.values * np.cosh(s * (1.0 - y)), x=y))
-    ch, sh = np.cosh(s * y), np.sinh(s * y)
-    cum_ch = cumint(a.values * ch, y)
-    cum_sh = cumint(a.values * sh, y)
-    conv = sh * cum_ch - ch * cum_sh
-    b = (np.sinh(s * (y - 0.5)) * int_sh + np.cosh(s * (y - 0.5)) * int_ch) / denom - conv / s
-    return a.with_values(b)
+        return _decay_filter_forward(a_vals, y[1] - y[0], s)
+    return np.exp(-s * y) * cumint(np.exp(s * y) * a_vals, y)
 
 
 def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
+    """Solve -b'' + lam*b = a on [0, 1] with no-flux (b'(0) = b'(1) = 0) or
+    periodic (b(0) = b(1), b'(0) = b'(1)) walls.
+
+    For lam > 0, with s = sqrt(lam), E = exp(-s), the free-space kernel
+    exp(-s|y - q|)/(2s) plus one decaying exponential from each wall,
+
+        b = (F + B + alpha exp(-s y) + beta exp(-s (1 - y))) / (2s),
+        F(y) = int_0^y exp(-s (y - q)) a dq,  B(y) = int_y^1 exp(-s (q - y)) a dq,
+
+    where the walls only choose (alpha, beta):
+    no-flux (B(0) + E F(1), F(1) + E B(0)) / (1 - E^2),
+    periodic (F(1), B(0)) / (1 - E).
+
+    lam = 0 needs zero-mean data (else SolvabilityError) and returns
+    -D(y), D(y) = int_0^y int_0^{y1} a; periodic walls add D(1) y + D(1),
+    the linear term periodicity b(0) = b(1) forces.
+    """
+    if bc not in ("no-flux", "periodic"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    y = a.nodes
+    if lam == 0.0:
+        if not a.is_zero_mean():
+            raise SolvabilityError(f"{bc} inverse at lambda=0 needs zero-mean data")
+        second = cumint(cumint(a.values, y), y)
+        b = -second
+        if bc == "periodic":
+            b = b + second[-1] * y + second[-1]
+        return a.with_values(b)
+    s = np.sqrt(lam)
+    fwd = _decay_integral(a.values, y, s)
+    bwd = _decay_integral(a.values[::-1], y, s)[::-1]
+    f1, b0, e = fwd[-1], bwd[0], np.exp(-s)
     if bc == "no-flux":
-        return helmholtz_inverse_neumann(a, lam)
-    if bc == "periodic":
-        return helmholtz_inverse_periodic(a, lam)
-    raise ValueError(f"unknown boundary condition {bc!r}")
+        d = -np.expm1(-2.0 * s)             # 1 - E^2
+        alpha, beta = (b0 + e * f1) / d, (f1 + e * b0) / d
+    else:
+        d = -np.expm1(-s)                   # 1 - E
+        alpha, beta = f1 / d, b0 / d
+    b = fwd + bwd + alpha * np.exp(-s * y) + beta * np.exp(-s * (1.0 - y))
+    return a.with_values(b / (2.0 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +299,13 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def cosine_project(u: GridFunction, n_max: int) -> np.ndarray:
-    """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y)."""
+    """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y);
+    c_0 is u.mean() and the modes n >= 1 use the GridFunction.inner weights."""
     y = u.nodes
     out = np.empty(n_max + 1)
-    out[0] = u.integral()
-    for n in range(1, n_max + 1):
-        out[n] = simpson(u.values * np.sqrt(2.0) * np.cos(n * np.pi * y), x=y)
+    out[0] = u.mean()
+    modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(np.arange(1, n_max + 1), y))
+    out[1:] = modes @ (u.values * _inner_weights(y.size - 1))
     return out
 
 

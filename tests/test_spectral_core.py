@@ -12,8 +12,7 @@ from sheardisp.spectral_core import (
     bessel_k0,
     cosine_project,
     cumint,
-    helmholtz_inverse_neumann,
-    helmholtz_inverse_periodic,
+    helmholtz_inverse,
     hermite_eval,
     hermite_norm,
     hermite_project,
@@ -51,18 +50,18 @@ class TestHelmholtzNeumann:
     def test_eigenfunction(self):
         # cos(pi y) is a Neumann eigenfunction: b = a / (1 + pi^2)
         a = GridFunction.from_callable(lambda y: np.cos(np.pi * y), 512)
-        b = helmholtz_inverse_neumann(a, 1.0)
+        b = helmholtz_inverse(a, 1.0, "no-flux")
         assert np.max(np.abs(b.values - a.values / (1 + np.pi**2))) < 1e-8
 
     def test_zero_rhs(self):
         a = GridFunction.from_callable(lambda y: 0.0 * y, 64)
-        b = helmholtz_inverse_neumann(a, 3.7)
+        b = helmholtz_inverse(a, 3.7, "no-flux")
         assert np.all(b.values == 0.0)
 
     def test_laplace_inverse_against_double_integration(self):
         # independent oracle: -int_0^y int_0^{y1} a on a fine grid
         a = GridFunction.from_callable(lambda y: np.cos(np.pi * y), 512)
-        b = helmholtz_inverse_neumann(a, 0.0)
+        b = helmholtz_inverse(a, 0.0, "no-flux")
         oracle = -cumint(cumint(a.values, a.nodes), a.nodes)
         assert np.max(np.abs(b.values - oracle)) < 1e-12
         # which matches the analytic (cos(pi y) - 1)/pi^2
@@ -72,24 +71,23 @@ class TestHelmholtzNeumann:
     def test_solvability_and_domain_errors(self):
         a = GridFunction.from_callable(lambda y: 1.0 + 0.0 * y, 64)
         with pytest.raises(SolvabilityError):
-            helmholtz_inverse_neumann(a, 0.0)
+            helmholtz_inverse(a, 0.0, "no-flux")
         with pytest.raises(ValueError):
-            helmholtz_inverse_neumann(a, -1.0)
+            helmholtz_inverse(a, -1.0, "no-flux")
 
     def test_boundary_conditions(self):
+        # data that is not itself periodic; lam = 400 runs the s > 12 branch
         a = GridFunction.from_callable(lambda y: y**2 + np.sin(3 * y), 1024)
-        b = helmholtz_inverse_neumann(a, 2.5)
-        h = b.h
-        # one-sided O(h^2) derivative estimates at both walls
-        d0 = (-3 * b.values[0] + 4 * b.values[1] - b.values[2]) / (2 * h)
-        d1 = (3 * b.values[-1] - 4 * b.values[-2] + b.values[-3]) / (2 * h)
-        assert abs(d0) < 1e-4 and abs(d1) < 1e-4
+        for lam in (2.5, 400.0):
+            b = helmholtz_inverse(a, lam, "no-flux")
+            d0, d1 = _wall_derivatives(b)
+            assert abs(d0) < 1e-4 and abs(d1) < 1e-4
 
     def test_scaled_branch_eigenfunction(self):
         # large lambda goes through the overflow-free kernel path
         a = GridFunction.from_callable(lambda y: np.cos(np.pi * y), 512)
         lam = 1e6
-        b = helmholtz_inverse_neumann(a, lam)
+        b = helmholtz_inverse(a, lam, "no-flux")
         rel = np.max(np.abs(b.values - a.values / (lam + np.pi**2))) * (lam + np.pi**2)
         assert rel < 1e-5
 
@@ -97,17 +95,17 @@ class TestHelmholtzNeumann:
 class TestHelmholtzPeriodic:
     def test_eigenfunction(self):
         a = GridFunction.from_callable(lambda y: np.sin(2 * np.pi * y), 512)
-        b = helmholtz_inverse_periodic(a, 1.0)
+        b = helmholtz_inverse(a, 1.0, "periodic")
         assert np.max(np.abs(b.values - a.values / (1 + 4 * np.pi**2))) < 1e-8
 
     def test_zero_rhs(self):
         a = GridFunction.from_callable(lambda y: 0.0 * y, 64)
-        assert np.all(helmholtz_inverse_periodic(a, 1.0).values == 0.0)
+        assert np.all(helmholtz_inverse(a, 1.0, "periodic").values == 0.0)
 
     def test_laplace_inverse_cosine(self):
         # b = cos(2 pi y)/(4 pi^2) up to an additive constant
         a = GridFunction.from_callable(lambda y: np.cos(2 * np.pi * y), 512)
-        b = helmholtz_inverse_periodic(a, 0.0)
+        b = helmholtz_inverse(a, 0.0, "periodic")
         diff = b.values - np.cos(2 * np.pi * a.nodes) / (4 * np.pi**2)
         assert np.max(diff) - np.min(diff) < 1e-10
 
@@ -115,7 +113,7 @@ class TestHelmholtzPeriodic:
         # sin(2 pi y) has a nonzero running double integral, which is the
         # case where the linear term in the closed form matters
         a = GridFunction.from_callable(lambda y: np.sin(2 * np.pi * y), 512)
-        b = helmholtz_inverse_periodic(a, 0.0)
+        b = helmholtz_inverse(a, 0.0, "periodic")
         assert abs(b.values[0] - b.values[-1]) < 1e-12
         h = b.h
         d0 = (-3 * b.values[0] + 4 * b.values[1] - b.values[2]) / (2 * h)
@@ -129,16 +127,32 @@ class TestHelmholtzPeriodic:
     def test_solvability(self):
         a = GridFunction.from_callable(lambda y: 1.0 + 0.0 * y, 64)
         with pytest.raises(SolvabilityError):
-            helmholtz_inverse_periodic(a, 0.0)
+            helmholtz_inverse(a, 0.0, "periodic")
+
+    def test_boundary_conditions(self):
+        a = GridFunction.from_callable(lambda y: y**2 + np.sin(3 * y), 1024)
+        for lam in (2.5, 400.0):
+            b = helmholtz_inverse(a, lam, "periodic")
+            assert abs(b.values[0] - b.values[-1]) < 1e-12
+            d0, d1 = _wall_derivatives(b)
+            assert abs(d0 - d1) < 1e-4
 
 
-def _residual_order(inverse, lam):
+def _wall_derivatives(b):
+    """One-sided O(h^2) derivative estimates at y = 0 and y = 1."""
+    h = b.h
+    d0 = (-3 * b.values[0] + 4 * b.values[1] - b.values[2]) / (2 * h)
+    d1 = (3 * b.values[-1] - 4 * b.values[-2] + b.values[-3]) / (2 * h)
+    return d0, d1
+
+
+def _residual_order(bc, lam):
     sizes = (64, 128, 256, 512)
     res = []
     for n in sizes:
         a = GridFunction.from_callable(
             lambda y: np.cos(2 * np.pi * y) + y * np.sin(2 * np.pi * y), n)
-        b = inverse(a, lam)
+        b = helmholtz_inverse(a, lam, bc)
         h = b.h
         interior = (-(b.values[:-2] - 2 * b.values[1:-1] + b.values[2:]) / h**2
                     + lam * b.values[1:-1] - a.values[1:-1])
@@ -146,9 +160,20 @@ def _residual_order(inverse, lam):
     return min(math.log(res[i] / res[i + 1]) / math.log(2) for i in range(3))
 
 
-@pytest.mark.parametrize("inverse", [helmholtz_inverse_neumann, helmholtz_inverse_periodic])
-def test_residual_second_order(inverse):
-    assert _residual_order(inverse, 1.0) >= 1.9
+@pytest.mark.parametrize("bc", ["no-flux", "periodic"])
+def test_residual_second_order(bc):
+    assert _residual_order(bc, 1.0) >= 1.9
+
+
+@pytest.mark.parametrize("bc, k", [("no-flux", np.pi), ("periodic", 2 * np.pi)],
+                         ids=["no-flux", "periodic"])
+def test_eigenfunction_near_switch(bc, k):
+    # s = 11.9 sits just below the s = 12 switch, where a cosh/sinh split
+    # of the kernel cancels like exp(2s)*eps (2.7e-6 and 1.9e-6 here)
+    a = GridFunction.from_callable(lambda y: np.cos(k * y), 2048)
+    lam = 11.9**2
+    b = helmholtz_inverse(a, lam, bc)
+    assert np.max(np.abs(b.values * (lam + k**2) - a.values)) < 1e-9
 
 
 class TestHermite:
