@@ -16,11 +16,14 @@ solver records exact conditional moments of X (no x noise enters them)
 and draws X only once, at the end; the backward solver draws the
 start point the same way.
 
-Reflection is positional folding (y -> |y|, y -> 2 - y), which is exact
-in distribution for the uniform invariant measure and adequate for
-sqrt(2 dt) << 1.  xi is taken at step midpoints of the supplied path;
-the path grid must coincide with the stepping grid, so no interpolation
-bias enters.
+Reflection is positional folding, exact in distribution for the uniform
+invariant measure and adequate for sqrt(2 dt) << 1.  No-flux walls take
+one reflection per step, y -> min(|y|, 2 - |y|) = 1 - |1 - |y||, which
+is exact whenever the step overshoots a wall by at most one channel
+width; ``_fold`` (y mod 2, mirrored) is the fallback for larger
+overshoot.  Periodic walls wrap, y -> y - floor(y).  xi is taken at
+step midpoints of the supplied path; the path grid must coincide with
+the stepping grid, so no interpolation bias enters.
 """
 
 from __future__ import annotations
@@ -140,9 +143,19 @@ def _fold(y: np.ndarray) -> np.ndarray:
 
 
 def _apply_bc(y: np.ndarray, bc: str) -> np.ndarray:
-    if bc == "no-flux":
+    """Wrap (periodic) or reflect (no-flux) stepped positions into [0, 1].
+
+    No-flux walls reflect once, y -> min(|y|, 2 - |y|) = 1 - |1 - |y||,
+    which is exact for |y| <= 2; only a step that overshoots further lands
+    below 0 there, and then the whole array takes the exact ``_fold``.
+    """
+    if bc == "periodic":
+        return y - np.floor(y)
+    a = np.abs(y)
+    folded = np.minimum(a, 2.0 - a)
+    if folded.min() < 0.0:
         return _fold(y)
-    return np.mod(y, 1.0)
+    return folded
 
 
 def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
@@ -173,7 +186,7 @@ def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
     for xi in xi_mid:
         drift += flow.velocity(y, xi, gamma) * cfg.dt
         y = _apply_bc(y + sqrt2dt * rng.standard_normal(n), cfg.bc)
-        if y.size != n or np.any((y < 0.0) | (y > 1.0)):
+        if y.size != n or not (y.min() >= 0.0 and y.max() <= 1.0):
             raise AssertionError("particle left the channel: reflection broke mass conservation")
         yield y, drift
 
@@ -265,8 +278,11 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
 
     Every backward sample sees the same xi path (randomness lives in the
     Brownian increments only), so the estimate is one realization of the
-    random field.  Returns (estimate, standard error).
+    random field.  Returns (estimate, standard error).  A start point off
+    the channel (y outside [0, 1]) or not finite raises ``ValueError``.
     """
+    if not (math.isfinite(x) and math.isfinite(y) and 0.0 <= y <= 1.0):
+        raise ValueError(f"need finite x and y in [0, 1], got x={x!r}, y={y!r}")
     if t == 0.0:
         return float(init.value(np.array(x), y)), 0.0
     if path.values is None:

@@ -19,6 +19,7 @@ derivative built on top of these kernels, so do not swap it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,14 +91,32 @@ class GridFunction:
         return float(np.dot(self.values * other.values, _inner_weights(self.nodes.size - 1)))
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.nodes, values)
+        """New values on this (already validated) grid; only their shape is checked."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.nodes.shape:
+            raise ValueError("nodes and values must have the same shape")
+        out = copy.copy(self)
+        out.values = values
+        return out
 
     def centered(self) -> "GridFunction":
         return self.with_values(self.values - self.mean())
 
     def __call__(self, y) -> np.ndarray:
-        """Linear interpolation off the grid (used by particle tracking)."""
-        return np.interp(y, self.nodes, self.values)
+        """Linear interpolation off the grid (used by particle tracking).
+
+        Index arithmetic on the uniform grid: s = clip(y, 0, 1) N, node
+        i = floor(s), value v_i + (s - i)(v_{i+1} - v_i).  Out-of-range y
+        clamps to the end values, as ``np.interp`` does; NaN gives NaN.
+        """
+        n = self.nodes.size - 1
+        s = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * n
+        # i = n (slope 0) only at s = n, so y >= 1 returns v_n exactly;
+        # fmin also drops NaN, which keeps the integer cast warning-free
+        i = np.fmin(np.floor(s), n)
+        slope = np.ediff1d(self.values, to_end=0.0)
+        k = i.astype(np.intp)
+        return self.values[k] + (s - i) * slope[k]
 
 
 @lru_cache(maxsize=None)

@@ -18,9 +18,25 @@ from sheardisp.monte_carlo import (
     simulate_forward,
     simulate_random_wave,
     wind_model_solution,
+    _apply_bc,
     _fold,
+    _y_walk,
 )
+from sheardisp import monte_carlo
 from sheardisp.invariant_measure import cdf_random_wave
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Record every call of the exact fold, the walk's overshoot fallback."""
+    calls = []
+
+    def counting_fold(y):
+        calls.append(y.copy())
+        return _fold(y)
+
+    monkeypatch.setattr(monte_carlo, "_fold", counting_fold)
+    return calls
 
 
 class TestConfigAndInitialData:
@@ -51,13 +67,40 @@ class TestConfigAndInitialData:
     @given(st.floats(min_value=-25, max_value=25, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_fold_stays_inside(self, y):
-        folded = float(_fold(np.array([y]))[0])
-        assert 0.0 <= folded <= 1.0
+        for folded in (_fold(np.array([y])), _apply_bc(np.array([y]), "no-flux"),
+                       _apply_bc(np.array([y]), "periodic")):
+            assert 0.0 <= float(folded[0]) <= 1.0
 
     def test_fold_is_reflection(self):
         assert _fold(np.array([-0.25]))[0] == pytest.approx(0.25)
         assert _fold(np.array([1.3]))[0] == pytest.approx(0.7)
         assert _fold(np.array([2.4]))[0] == pytest.approx(0.4)
+
+    def test_one_reflection_matches_fold(self):
+        # on [-1, 2] the one reflection is the exact fold up to the rounding
+        # of 2 - (y + 2) in _fold (measured 1.1e-16 on [-1, 0), 0 on [0, 2])
+        y = np.random.default_rng(0).uniform(-1.0, 2.0, 100_000)
+        y[:4] = (-1.0, 0.0, 1.0, 2.0)
+        assert np.max(np.abs(_apply_bc(y, "no-flux") - _fold(y))) <= 2.3e-16
+        periodic = _apply_bc(np.concatenate((y, [-1e-17, -25.3, 25.7])), "periodic")
+        assert periodic.min() >= 0.0 and periodic.max() <= 1.0
+
+    def test_fold_fallback_only_on_overshoot(self, fold_calls):
+        # the one reflection is exact for |y| <= 2, so -1.3 and 1.9 stay on it
+        for y, fallback in ((-1.3, False), (1.9, False), (2.4, True),
+                            (-2.6, True), (5.7, True)):
+            fold_calls.clear()
+            got = _apply_bc(np.array([0.5, y]), "no-flux")
+            assert bool(fold_calls) is fallback, y
+            np.testing.assert_allclose(got, _fold(np.array([0.5, y])), rtol=0, atol=2.3e-16)
+
+    def test_walk_rejects_nan_positions(self):
+        v = GridFunction.from_callable(lambda y: y - 0.5, 64)
+        walk = _y_walk(FlowSpec.steady(v), 1.0, np.zeros(1), np.array([np.nan, 0.5]),
+                       SimConfig(dt=0.01, n_particles=2), np.random.default_rng(0))
+        next(walk)
+        with pytest.raises(AssertionError):
+            next(walk)
 
 
 class TestForwardSimulation:
@@ -141,6 +184,17 @@ class TestForwardSimulation:
                                keep_positions=True)
         assert np.all((res.final_y >= 0) & (res.final_y <= 1))
 
+    def test_large_dt_walk_stays_inside(self, fold_calls):
+        # sqrt(2 dt) = 1: steps overshoot by more than a channel width and
+        # the exact fold takes over; the walk asserts every step stays inside
+        v = GridFunction.from_callable(lambda y: y - 0.5, 64)
+        cfg = SimConfig(dt=0.5, n_particles=2_000, seed=8, pe=1.0)
+        with pytest.warns(RuntimeWarning):
+            res = simulate_forward(FlowSpec.steady(v), 1.0, InitialData.delta_line(),
+                                   10.0, cfg, keep_positions=True)
+        assert fold_calls
+        assert res.final_y.min() >= 0.0 and res.final_y.max() <= 1.0
+
     def test_y_binned_moments_shape(self):
         zero = GridFunction.from_callable(lambda y: 0.0 * y, 64)
         cfg = SimConfig(dt=0.01, n_particles=5_000, seed=2, pe=0.0)
@@ -178,6 +232,17 @@ class TestBackwardEvaluation:
                                           0.2, 0.5, 0.0, init, cfg)
         assert val == pytest.approx(float(init.value(0.2)), rel=1e-14)
         assert se == 0.0
+
+    @pytest.mark.parametrize("x, y", [(0.0, 1.5), (0.0, -0.1), (0.0, math.nan),
+                                      (math.nan, 0.5), (math.inf, 0.5)])
+    def test_bad_point_raises(self, x, y):
+        u = linear_profile()
+        path = sample_ou(OUParams(1.0), time_grid(0.1, 0.01), seed=3)
+        cfg = SimConfig(dt=0.01, n_particles=100, seed=4, pe=1.0)
+        for t in (0.0, 0.1):
+            with pytest.raises(ValueError):
+                evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path,
+                                        x, y, t, InitialData.gaussian(0.5), cfg)
 
     def test_heat_kernel_oracle(self):
         # Pe = 0, gaussian(s): T(0, t) = 1/sqrt(2 pi (s + 2t))

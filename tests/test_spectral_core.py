@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,33 @@ class TestGridFunction:
         nodes = np.linspace(0, 1, 11) ** 1.1
         with pytest.raises(ValueError):
             GridFunction(nodes / nodes[-1], np.zeros(11))        # non-uniform
+        g = GridFunction.from_callable(lambda y: y, 8)
+        with pytest.raises(ValueError):
+            g.with_values(np.zeros(8))                           # wrong shape
+        h = g.with_values(np.ones(9))
+        assert h.nodes is g.nodes and g.values[0] == 0.0 and h.values[0] == 1.0
+
+    def test_lookup_matches_interp(self):
+        # index arithmetic on the uniform grid against np.interp on its nodes:
+        # identical on power-of-two grids, where every node and y N are exact
+        rng = np.random.default_rng(1)
+        g = GridFunction.from_callable(lambda y: np.sin(7 * y) + y**3 - 0.3, 512)
+        y = np.concatenate((rng.uniform(0, 1, 100_000), g.nodes,
+                            [0.0, 1.0, np.nextafter(1.0, 0.0), -0.5, 1.5, -np.inf, np.inf]))
+        ref = np.interp(y, g.nodes, g.values)
+        assert np.all(np.abs(g(y) - ref) <= np.spacing(np.abs(ref)))
+        assert g(0.3) == np.interp(0.3, g.nodes, g.values)
+        assert g(2.0) == g.values[-1] and g(-1.0) == g.values[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(g(np.nan))
+            out = g(np.array([np.nan, 0.5]))
+        assert np.isnan(out[0]) and out[1] == np.interp(0.5, g.nodes, g.values)
+        # other interval counts: linspace nodes are rounded, so the two
+        # differ by node rounding times the slope (measured 1.3e-15 at n = 510)
+        g = GridFunction.from_callable(lambda y: np.sin(7 * y) + y**3 - 0.3, 510)
+        bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.diff(g.values))) / g.h)
+        assert np.max(np.abs(g(y) - np.interp(y, g.nodes, g.values))) <= bound
 
     def test_quadrature(self):
         g = GridFunction.from_callable(lambda y: np.sin(np.pi * y), 128)
