@@ -120,9 +120,16 @@ def criterion_3_ergodicity() -> CriterionResult:
         if abs(est / kappa - 1.0) <= 0.05:
             n_pass += 1
     mean = float(np.mean(ests))
+    # at Pe = 1 kappa - 1 is only 0.0038, so the 5% band above also admits
+    # pure diffusion; the enhancement ratio reads 0 for it (84 SE at seed
+    # 2024, where it measured 1.0010 +- 0.0119) and 2 for a factor-2 error
+    ratio = (np.array(ests) - 1.0) / (kappa - 1.0)
+    r_mean, r_se = float(np.mean(ratio)), float(np.std(ratio, ddof=1) / math.sqrt(ratio.size))
     checks = [(n_pass >= 95,
                f"{n_pass}/100 single realizations within 5% of {kappa:.5f} "
-               f"(ensemble mean {mean:.5f})")]
+               f"(ensemble mean {mean:.5f})"),
+              (abs(r_mean - 1.0) <= 5.0 * r_se,
+               f"enhancement ratio {r_mean:.4f} +- {r_se:.4f} within 5 SE of 1")]
     return _result("3-ergodicity-gate", checks, t0)
 
 
@@ -227,8 +234,7 @@ def criterion_6_invariant_measure() -> CriterionResult:
 
 def criterion_7_random_wave() -> CriterionResult:
     t0 = time.time()
-    samples = simulate_random_wave(a=0.5, pe=1.0, ubar=1.0, kappa_eff=1.0,
-                                   n=1_000_000, seed=99)
+    samples = simulate_random_wave(a=0.5, pe=1.0, ubar=1.0, n=1_000_000, seed=99)
     est = ensemble_pdf(samples, bins=200)
     var, kurt = est.variance(), est.kurtosis()
     ks = est.ks_distance(cdf_random_wave)

@@ -13,8 +13,9 @@ Only Y is simulated.  Given the cross-channel path, X is exactly Gaussian
 with mean x0 + Pe D, D = int v(Y, xi) dt, and variance 2t, so both
 solvers share one reflected y-walk that accumulates D.  The forward
 solver records exact conditional moments of X (no x noise enters them)
-and draws X only once, at the end; the backward solver draws the
-start point the same way.
+and draws X only once, at the end; the backward solver draws no x: it
+averages ``InitialData.value(x - Pe D, t)``, the heat-smoothed data,
+over the walks.
 
 Reflection is positional folding, exact in distribution for the uniform
 invariant measure and adequate for sqrt(2 dt) << 1.  No-flux walls take
@@ -102,14 +103,19 @@ class InitialData:
         y = rng.uniform(0.0, 1.0, n)
         return x, y
 
-    def value(self, x, y=None):
-        """Pointwise initial value T0(x, y); needed by the backward solver."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-x * x / (2.0 * self.s)) / math.sqrt(2.0 * math.pi * self.s)
+    def value(self, x, t: float = 0.0):
+        """The data smoothed by the unit-diffusivity heat kernel to time t
+        (added variance 2t): gaussian(s) gives N(x; s + 2t), random-wave
+        2 Re(A e^{-iax}) e^{-a^2 t}, and delta-line N(x; 2t) for t > 0 only."""
+        if not (t >= 0.0 and self.kind in ("gaussian", "random-wave")
+                or t > 0.0 and self.kind == "delta-line"):
+            raise ValueError(f"{self.kind} data has no value at smoothing time t = {t!r}")
+        x = np.asarray(x, dtype=float)[()]   # a scalar stays a scalar
         if self.kind == "random-wave":
-            return 2.0 * np.real(self.amplitude * np.exp(-1j * self.a * x))
-        raise ValueError(f"{self.kind} data has no pointwise evaluation")
+            decay = math.exp(-self.a * self.a * t)
+            return 2.0 * np.real(self.amplitude * np.exp(-1j * self.a * x)) * decay
+        var = 2.0 * t + (self.s if self.kind == "gaussian" else 0.0)
+        return np.exp(-x**2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
 @dataclass
@@ -159,6 +165,8 @@ def _apply_bc(y: np.ndarray, bc: str) -> np.ndarray:
 
 
 def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer number of steps")
@@ -276,15 +284,15 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
                             cfg: SimConfig, realization: int = 0) -> tuple[float, float]:
     """Backward-characteristics estimate of T(x, y, t) for one realization.
 
-    Every backward sample sees the same xi path (randomness lives in the
-    Brownian increments only), so the estimate is one realization of the
-    random field.  Returns (estimate, standard error).  A start point off
-    the channel (y outside [0, 1]) or not finite raises ``ValueError``.
+    Every backward sample sees the same xi path, so the estimate is one
+    realization of the random field.  Given the y-walk's D the start point
+    is x - Pe D - sqrt(2t) Z, and Z is averaged out exactly: the estimate
+    is the mean of ``init.value(x - Pe D, t)`` over the walks.  Returns
+    (estimate, standard error); a start point off the channel (y outside
+    [0, 1]) or not finite raises ``ValueError``.
     """
     if not (math.isfinite(x) and math.isfinite(y) and 0.0 <= y <= 1.0):
         raise ValueError(f"need finite x and y in [0, 1], got x={x!r}, y={y!r}")
-    if t == 0.0:
-        return float(init.value(np.array(x), y)), 0.0
     if path.values is None:
         raise ValueError("backward evaluation needs pointwise xi values")
     n_steps = _step_indices(path, t, cfg.dt)
@@ -292,39 +300,30 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
     n = cfg.n_particles
     # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
     xi_mid = _xi_midpoints(path, n_steps)[::-1]
-    for ypos, drift in _y_walk(flow, gamma, xi_mid, np.full(n, float(y)), cfg, rng):
+    for _, drift in _y_walk(flow, gamma, xi_mid, np.full(n, float(y)), cfg, rng):
         pass
-    x0 = x - cfg.pe * drift + math.sqrt(2.0 * t) * rng.standard_normal(n)
-    vals = np.asarray(init.value(x0, ypos), dtype=float)
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return est, stderr
+    vals = init.value(x - cfg.pe * drift, t)
+    # moments about the first sample, so identical samples give SE exactly 0
+    dev = vals - vals[0]
+    return float(vals[0] + np.mean(dev)), float(np.std(dev, ddof=1) / math.sqrt(n))
 
 
 def wind_model_solution(x, t: float, path: OUPath, eigen: EigenData, ubar: float,
                         init: Optional[InitialData] = None, mass: float = 1.0):
-    """Analytic long-time wind-model field on one xi realization:
+    """Analytic long-time wind-model field on one xi realization: the data
+    (default the delta line) carried by the drift Pe ubar I(t) and smoothed
+    by the heat kernel with diffusivity kappa_eff,
 
-        T(x, t) = mass * N(x; Pe ubar I(t), var),
-
-    var = 2 kappa_eff t for integrable data; for gaussian(s) data the
-    Fourier evaluation is exact and var = s + 2 kappa_eff t.
+        T(x, t) = mass * init.value(x - Pe ubar I(t), kappa_eff t).
     """
     if eigen.kappa_eff <= 0:
         raise ValueError("kappa_eff must be positive")
     drift = eigen.pe * ubar * path.integral_at(t)
-    var = 2.0 * eigen.kappa_eff * t
-    if init is not None:
-        if init.kind != "gaussian":
-            raise ValueError("exact wind-model profiles support gaussian data; "
-                             "pass init=None with a mass for generic integrable data")
-        var += init.s
-        mass = init.mass
-    x_arr = np.asarray(x, dtype=float)
-    return mass * np.exp(-(x_arr - drift) ** 2 / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    x_rel = np.asarray(x, dtype=float) - drift
+    return mass * (init or InitialData.delta_line()).value(x_rel, eigen.kappa_eff * t)
 
 
-def simulate_random_wave(a: float, pe: float, ubar: float, kappa_eff: float,
+def simulate_random_wave(a: float, pe: float, ubar: float,
                          paths: Optional[list[OUPath]] = None, n: Optional[int] = None,
                          x: float = 0.0, seed: int = 0) -> np.ndarray:
     """Rescaled random-wave scalar samples Ttilde = Z cos(a x + a Pe ubar I(t)).

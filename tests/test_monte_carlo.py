@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from sheardisp.ou_process import OUParams, sample_ou, time_grid, integral_variance
+from sheardisp.ou_process import (
+    OUParams, integral_variance, realization_seed, sample_ou, time_grid,
+)
 from sheardisp.spectral_core import GridFunction
 from sheardisp.eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, linear_profile, taylor_steady,
@@ -63,6 +65,19 @@ class TestConfigAndInitialData:
         assert rw.value(0.0) == pytest.approx(0.6, rel=1e-12)
         with pytest.raises(ValueError):
             rw.sample_particles(10, np.random.default_rng(0))
+        # smoothed by the heat kernel N(0, 2t)
+        assert g.value(0.0, 0.25) == pytest.approx(1 / math.sqrt(2 * np.pi), rel=1e-12)
+        assert g.value(1.0, 0.25) == pytest.approx(math.exp(-0.5) / math.sqrt(2 * np.pi), rel=1e-12)
+        assert d.value(0.0, 0.25) == pytest.approx(1 / math.sqrt(np.pi), rel=1e-12)
+        assert d.value(1.0, 0.25) == pytest.approx(math.exp(-1.0) / math.sqrt(np.pi), rel=1e-12)
+        # e^{-2i pi/4} = -i, so 2 Re(A e^{-iax}) = 2 Im(A) = 0.8
+        assert rw.value(0.0, 0.5) == pytest.approx(0.6 * math.exp(-2.0), rel=1e-12)
+        assert rw.value(math.pi / 4, 0.5) == pytest.approx(0.8 * math.exp(-2.0), rel=1e-12)
+        np.testing.assert_allclose(rw.value(np.array([0.0, math.pi / 4]), 0.5),
+                                   np.array([0.6, 0.8]) * math.exp(-2.0), rtol=1e-12)
+        for data in (g, d, rw):
+            with pytest.raises(ValueError):
+                data.value(0.0, -0.1)
 
     @given(st.floats(min_value=-25, max_value=25, allow_nan=False))
     @settings(max_examples=100, deadline=None)
@@ -244,6 +259,47 @@ class TestBackwardEvaluation:
                 evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path,
                                         x, y, t, InitialData.gaussian(0.5), cfg)
 
+    @pytest.mark.parametrize("init", [InitialData.gaussian(0.5), InitialData.delta_line(),
+                                      InitialData.random_wave(2.0, 0.3 + 0.4j)],
+                             ids=["gaussian", "delta-line", "random-wave"])
+    def test_pure_diffusion_is_exact(self, init):
+        # Pe = 0: x - Pe D = x for every walk, so the estimate is the
+        # heat-smoothed data itself, with no sampling error
+        u = linear_profile()
+        path = sample_ou(OUParams(1.0), time_grid(0.5, 0.01), seed=3)
+        cfg = SimConfig(dt=0.01, n_particles=1_000, seed=4, pe=0.0)
+        val, se = evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path,
+                                          0.3, 0.5, 0.5, init, cfg)
+        assert val == pytest.approx(float(init.value(0.3, 0.5)), rel=1e-14)
+        assert se == 0.0
+
+    @pytest.mark.parametrize("dx", [-0.5, 0.0, 0.5])
+    def test_agrees_with_drawn_x_estimator(self, dx):
+        # criterion 6's setup at 10k particles.  The reference draws the
+        # start point x - Pe D + sqrt(2t) Z after the same y-walk (same RNG
+        # stream) and evaluates the raw data; averaging Z out in closed form
+        # must agree within its noise and be far less noisy (measured SE
+        # ratios at 100k particles: 46 at dx = +-0.5, 400 at dx = 0)
+        u = GridFunction.from_callable(lambda y: y + 0.5, 512)
+        gamma, pe, t = 1.0, 1.0, 1.0
+        path = sample_ou(OUParams(gamma), time_grid(t, 1e-3), seed=2027)
+        flow = FlowSpec.multiplicative(u)
+        init = InitialData.gaussian(0.5)
+        cfg = SimConfig(dt=1e-3, n_particles=10_000, seed=5, pe=pe)
+        x = pe * u.mean() * path.integral[-1] + dx
+
+        rng = np.random.default_rng(realization_seed(cfg.seed, 0))
+        xi_mid = monte_carlo._xi_midpoints(path, 1000)[::-1]
+        for _, drift in _y_walk(flow, gamma, xi_mid, np.full(cfg.n_particles, 0.5), cfg, rng):
+            pass
+        x0 = x - pe * drift + math.sqrt(2.0 * t) * rng.standard_normal(cfg.n_particles)
+        vals = init.value(x0)
+        ref, ref_se = float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+        val, se = evaluate_point_backward(flow, gamma, path, x, 0.5, t, init, cfg)
+        assert abs(val - ref) <= 5.0 * ref_se
+        assert se < ref_se / 20.0
+
     def test_heat_kernel_oracle(self):
         # Pe = 0, gaussian(s): T(0, t) = 1/sqrt(2 pi (s + 2t))
         u = linear_profile()
@@ -267,6 +323,23 @@ class TestBackwardEvaluation:
         backward, _ = evaluate_point_backward(FlowSpec.multiplicative(u), gamma,
                                               path, x, 0.5, 1.0, init, cfg)
         assert abs(backward / wind - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("t_end", [-0.5, math.inf, math.nan])
+@pytest.mark.parametrize("solver", ["forward-path", "forward-steady", "backward"])
+def test_bad_t_end_raises(solver, t_end):
+    u = linear_profile()
+    path = sample_ou(OUParams(1.0), time_grid(1.0, 0.01), seed=3)
+    cfg = SimConfig(dt=0.01, n_particles=100, seed=4, pe=1.0)
+    with pytest.raises(ValueError, match="t_end"):
+        if solver == "forward-path":
+            simulate_forward(FlowSpec.multiplicative(u), 1.0, InitialData.delta_line(),
+                             t_end, cfg, path)
+        elif solver == "forward-steady":
+            simulate_forward(FlowSpec.steady(u), 1.0, InitialData.delta_line(), t_end, cfg)
+        else:
+            evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path, 0.0, 0.5,
+                                    t_end, InitialData.gaussian(0.5), cfg)
 
 
 class TestWindModel:
@@ -299,6 +372,18 @@ class TestWindModel:
         val = wind_model_solution(0.0, 1.0, path, eig, 0.5, init=InitialData.gaussian(s))
         assert float(val) == pytest.approx(1 / math.sqrt(2 * math.pi * var), rel=1e-12)
 
+    def test_random_wave_data(self):
+        # the wave rides the drift and decays at the effective diffusivity
+        a, amp = 2.0, 0.3 + 0.4j
+        path = sample_ou(OUParams(1.0), time_grid(1.0, 0.01), seed=8)
+        eig = lambda_multiplicative(linear_profile(), 1.0, 1.0)
+        xs = np.linspace(-2, 2, 9)
+        drift = eig.pe * 0.5 * path.integral_at(1.0)
+        expected = (2 * np.real(amp * np.exp(-1j * a * (xs - drift)))
+                    * math.exp(-a * a * eig.kappa_eff * 1.0))
+        val = wind_model_solution(xs, 1.0, path, eig, 0.5, init=InitialData.random_wave(a, amp))
+        np.testing.assert_allclose(val, expected, rtol=1e-12, atol=1e-15)
+
 
 class TestRandomWave:
     def test_second_moment_prediction_at_fixed_time(self):
@@ -324,14 +409,14 @@ class TestRandomWave:
         paths = [sample_ou(OUParams(1.0), grid, seed=12, realization=i)
                  for i in range(20_000)]
         a, x = 0.4, 0.8
-        samples = simulate_random_wave(a, 1.0, 0.0, 1.0, paths=paths, x=x)
+        samples = simulate_random_wave(a, 1.0, 0.0, paths=paths, x=x)
         sigma = abs(math.cos(a * x))
         from scipy.stats import norm
         est = ensemble_pdf(samples)
         assert est.ks_distance(lambda z: norm.cdf(z, scale=sigma)) < 0.012
 
     def test_uniform_phase_law(self):
-        samples = simulate_random_wave(0.5, 1.0, 1.0, 1.0, n=200_000, seed=1)
+        samples = simulate_random_wave(0.5, 1.0, 1.0, n=200_000, seed=1)
         est = ensemble_pdf(samples)
         assert abs(est.variance() - 0.5) < 0.01
         assert est.ks_distance(cdf_random_wave) < 0.01
@@ -346,7 +431,7 @@ class TestRandomWave:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            samples = simulate_random_wave(400.0, 1.0, 1.0, 1.0, paths=paths)
+            samples = simulate_random_wave(400.0, 1.0, 1.0, paths=paths)
         est = ensemble_pdf(samples)
         assert est.ks_distance(cdf_random_wave) < 0.02
 
@@ -354,11 +439,11 @@ class TestRandomWave:
         grid = time_grid(1.0, 0.01)
         paths = [sample_ou(OUParams(1.0), grid, seed=4, realization=i) for i in range(4)]
         with pytest.warns(RuntimeWarning):
-            simulate_random_wave(1.0, 1.0, 1.0, 1.0, paths=paths)
+            simulate_random_wave(1.0, 1.0, 1.0, paths=paths)
 
     def test_needs_paths_or_count(self):
         with pytest.raises(ValueError):
-            simulate_random_wave(0.5, 1.0, 1.0, 1.0)
+            simulate_random_wave(0.5, 1.0, 1.0)
 
 
 class TestEnsemblePdf:
