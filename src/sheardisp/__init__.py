@@ -55,7 +55,6 @@ from .aris_solver import (
     nth_moment_prediction,
     npoint_correlator,
     lambda_from_moments,
-    rescaled_moment,
 )
 from .monte_carlo import (
     SimConfig,

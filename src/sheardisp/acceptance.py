@@ -9,7 +9,6 @@ the same results.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -381,14 +380,13 @@ CRITERIA: dict[str, Callable[[], CriterionResult]] = {
 }
 
 
-def run_all(names: Optional[list[str]] = None, stream=None) -> list[CriterionResult]:
-    """Run the requested criteria (default: all), printing one line each."""
-    stream = stream or sys.stdout
+def run_all(names: Optional[list[str]] = None) -> list[CriterionResult]:
+    """Run the requested criteria (default: all), printing one line each to stdout."""
     results = []
     for key, fn in CRITERIA.items():
         if names and key not in names:
             continue
         result = fn()
-        print(result.line(), file=stream, flush=True)
+        print(result.line(), flush=True)
         results.append(result)
     return results

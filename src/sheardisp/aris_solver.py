@@ -34,6 +34,7 @@ import numpy as np
 from .ou_process import OUPath, _cumtrapz
 from .spectral_core import GridFunction, _decay_filter_forward, cosine_project, cosine_eigenvalue
 from .eff_diffusivity import EigenData
+from .invariant_measure import moment_function
 
 
 class EstimatorDomainError(ValueError):
@@ -188,11 +189,6 @@ def estimate_gamma(path: OUPath, n: int = 1) -> float:
 # N-point correlator predictions
 # ---------------------------------------------------------------------------
 
-def rescaled_moment(n: int, beta: float) -> float:
-    """<Ttilde^n> = (n beta + 1)^{-1/2}."""
-    return (n * beta + 1.0) ** -0.5
-
-
 def nth_moment_prediction(spec: CorrelatorSpec) -> float:
     """Long-time N-th one-point moment at x = 0:
 
@@ -205,7 +201,7 @@ def nth_moment_prediction(spec: CorrelatorSpec) -> float:
         raise ValueError("degenerate eigenvalue gap: lambda2 must exceed lambda11")
     n = spec.N
     prefactor = (4.0 * math.pi * spec.t * eig.kappa_eff) ** (-0.5 * n)
-    return spec.mass**n * prefactor * rescaled_moment(n, eig.beta)
+    return spec.mass**n * prefactor * moment_function(n, eig.beta)
 
 
 def npoint_correlator(spec: CorrelatorSpec) -> float:

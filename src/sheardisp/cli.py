@@ -9,11 +9,13 @@ Subcommands mirror the module operations:
     estimate-gamma  damping estimator over an OU ensemble
     validate        run the acceptance suite
 
-Configuration may come from a JSON document (--config); any flag given on
-the command line overrides the corresponding document field.  Every
-writing subcommand drops a manifest.json recording the resolved config,
-its hash, the seed, and the package version, so a run can be reproduced
-byte-for-byte (manifest timestamp aside).
+Each subcommand takes only the flags it reads (``aris`` has no-flux walls
+only, so no --bc).  Configuration may come from a JSON document (--config)
+whose fields are flags of the subcommand; a flag given on the command line
+overrides its document field.  Every writing subcommand drops a
+manifest.json recording the resolved config (with the output directory,
+and the seed where one is read), its hash and the package version, so a
+run can be reproduced byte-for-byte (manifest timestamp aside).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -66,14 +69,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     A flag counts as explicit when it differs from the subcommand default,
     so re-passing a default value cannot override a document field.
     """
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
+    skip = ("config", "func", "command")
     defaults = vars(parser.parse_args([args.command]))
+    merged = json.loads(Path(args.config).read_text()) if args.config else {}
+    unknown = sorted(k for k in merged if k in skip or k not in defaults)
+    if unknown:
+        raise SystemExit(f"config fields not read by {args.command}: {', '.join(unknown)}")
     for key, value in vars(args).items():
-        if key in ("config", "func", "command"):
-            continue
-        if key not in merged or value != defaults.get(key):
+        if key not in skip and (key not in merged or value != defaults[key]):
             merged[key] = value
     return merged
 
@@ -106,7 +109,9 @@ def _write_manifest(outdir: Path, cfg: dict, extra: dict | None = None) -> None:
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg.get("outdir") or "runs")
+    """--outdir, else $SHEARDISP_OUTDIR, else ./runs; resolved into cfg for the manifest."""
+    cfg["outdir"] = cfg["outdir"] or os.environ.get("SHEARDISP_OUTDIR") or "runs"
+    out = Path(cfg["outdir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -125,7 +130,7 @@ def _map_realizations(fn, n: int, threads: int) -> list:
 # --------------------------------------------------------------------------
 
 def cmd_kappa_eff(cfg: dict) -> int:
-    u = _load_profile(cfg["flow"], cfg.get("grid_n", 512))
+    u = _load_profile(cfg["flow"])
     record = {"flow": cfg["flow"], "bc": cfg["bc"], "pe": cfg["pe"]}
     if cfg.get("white_noise"):
         eig = lambda_white(u, cfg["pe"])
@@ -168,11 +173,11 @@ def cmd_aris(cfg: dict) -> int:
 
     # realizations are independent and seeded by index, so any thread count
     # produces identical outputs; the writer below stays single-threaded
-    summaries = _map_realizations(one, cfg["realizations"], cfg.get("threads", 1))
+    summaries = _map_realizations(one, cfg["realizations"], cfg["threads"])
     with open(out / "aris_summary.ndjson", "w") as fh:
         for s in summaries:
             fh.write(json.dumps(s) + "\n")
-    closed = lambda_multiplicative(u, cfg["gamma"], cfg["pe"], bc=cfg["bc"])
+    closed = lambda_multiplicative(u, cfg["gamma"], cfg["pe"])
     _write_manifest(out, cfg, {"kappa_eff_closed_form": closed.kappa_eff})
     print(f"wrote {cfg['realizations']} Aris records to {out} "
           f"(closed-form kappa_eff {closed.kappa_eff:.6f})")
@@ -187,7 +192,7 @@ def cmd_simulate(cfg: dict) -> int:
     init = (InitialData.gaussian(cfg["init_s"]) if cfg.get("init_s")
             else InitialData.delta_line())
     sim = SimConfig(dt=cfg["dt"], n_particles=cfg["particles"], seed=cfg["seed"],
-                    bc=cfg["bc"], pe=cfg["pe"])
+                    pe=cfg["pe"])
     grid = time_grid(cfg["t_end"], cfg["dt"])
     keeper = {}
 
@@ -206,7 +211,7 @@ def cmd_simulate(cfg: dict) -> int:
             "t2bar_final": float(res.t2bar[-1]),
         }
 
-    summaries = _map_realizations(one, cfg["realizations"], cfg.get("threads", 1))
+    summaries = _map_realizations(one, cfg["realizations"], cfg["threads"])
     with open(out / "simulate_summary.ndjson", "w") as fh:
         for s in summaries:
             fh.write(json.dumps(s) + "\n")
@@ -287,12 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=0):
+    shared = {
+        "seed": dict(type=int, default=0),
+        "outdir": dict(default=None, help="output directory (default ./runs, or $SHEARDISP_OUTDIR)"),
+        "threads": dict(type=int, default=1,
+                        help="thread pool for independent realizations; outputs are identical for any value"),
+    }
+
+    def common(p, *flags):
         p.add_argument("--config", help="JSON config document; flags override fields")
-        p.add_argument("--seed", type=int, default=seed)
-        p.add_argument("--outdir", default=None, help="output directory (default ./runs, or $SHEARDISP_OUTDIR)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="thread pool for independent realizations; outputs are identical for any value")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
 
     p = sub.add_parser("kappa-eff", help="closed-form effective diffusivity")
     common(p)
@@ -303,12 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--white-noise", action="store_true", dest="white_noise")
     p.set_defaults(func=cmd_kappa_eff)
 
-    p = sub.add_parser("aris", help="pathwise Aris moment records")
-    common(p)
+    p = sub.add_parser("aris", help="pathwise Aris moment records (no-flux walls)")
+    common(p, "seed", "outdir", "threads")
     p.add_argument("--flow", default="linear")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--pe", type=float, default=1.0)
-    p.add_argument("--bc", choices=["no-flux", "periodic"], default="no-flux")
     p.add_argument("--t-end", type=float, default=200.0, dest="t_end")
     p.add_argument("--dt", type=float, default=0.005)
     p.add_argument("--realizations", type=int, default=1)
@@ -316,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aris)
 
     p = sub.add_parser("simulate", help="forward particle Monte Carlo")
-    common(p)
+    common(p, "seed", "outdir", "threads")
     p.add_argument("--flow", default="linear")
     p.add_argument("--steady", action="store_true")
     p.add_argument("--gamma", type=float, default=1.0)
@@ -332,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pdf", help="analytic invariant-measure tables")
-    common(p)
+    common(p, "outdir")
     p.add_argument("--mode", choices=["deterministic", "random-wave"], default="deterministic")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--bins", type=int, default=200)
     p.set_defaults(func=cmd_pdf)
 
     p = sub.add_parser("estimate-gamma", help="damping estimator over an OU ensemble")
-    common(p)
+    common(p, "seed")
     p.add_argument("--gamma", type=float, default=5.0)
     p.add_argument("--t-end", type=float, default=500.0, dest="t_end")
     p.add_argument("--dt", type=float, default=0.005)
@@ -356,12 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    import os
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _merge_config(args, parser)
-    if cfg.get("outdir") is None:
-        cfg["outdir"] = os.environ.get("SHEARDISP_OUTDIR", "runs")
     _validate_numeric(cfg)
     return args.func(cfg)
 

@@ -138,6 +138,8 @@ class Lambda11Result(NamedTuple):
 # ---------------------------------------------------------------------------
 
 _SERIES_RTOL = 1e-12
+_TRUNCATION_TOL = 1e-6    # last term of a series cut by n_h, relative to the enhancement
+_LAMBDA11_RTOL = 1e-6     # series vs integral route of lambda11
 
 
 def _lambda2_term(a: GridFunction, n: int, gamma: float, pe: float, bc: str) -> float:
@@ -145,8 +147,8 @@ def _lambda2_term(a: GridFunction, n: int, gamma: float, pe: float, bc: str) -> 
     return 2.0 * pe**2 * hermite_norm(n) * a.inner(helmholtz_inverse(a, n * gamma, bc))
 
 
-def lambda2_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int] = None,
-                    truncation_tol: float = 1e-6) -> Lambda2Result:
+def lambda2_general(flow: FlowSpec, gamma: float, pe: float,
+                    n_h: Optional[int] = None) -> Lambda2Result:
     """lambda2 = 2 + 2 Pe^2 sum_n n! 2^n int a_n (n*gamma - Lap)^{-1} a_n dy.
 
     The n = 0 term uses the zero-eigenvalue inverse, which is solvable
@@ -169,15 +171,15 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int] 
     n_used = (significant[-1] + 1) if significant else 1
     stopped_by = "tolerance" if n_used <= n_h else "n_h"
     last = abs(terms[n_used - 1])
-    if stopped_by == "n_h" and last > truncation_tol * max(scale, 1e-12):
+    if stopped_by == "n_h" and last > _TRUNCATION_TOL * max(scale, 1e-12):
         raise TruncationError(
             f"n_h={n_h} too small: last term {last:.3e} above tolerance "
-            f"{truncation_tol:.1e} relative to enhancement {scale:.3e}")
+            f"{_TRUNCATION_TOL:.1e} relative to enhancement {scale:.3e}")
     return Lambda2Result(2.0 + total, last, n_used, stopped_by)
 
 
 def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int] = None,
-                     rtol: float = 1e-6, z_max: float = 8.0, n_z: int = 4000) -> Lambda11Result:
+                     z_max: float = 8.0, n_z: int = 4000) -> Lambda11Result:
     """lambda11 by two routes with a built-in agreement check.
 
     Series: (2 Pe^2 / gamma) sum_{n>=1} (n-1)! 2^n abar_n^2.
@@ -193,7 +195,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
     catastrophically.  Truncation tail beyond |z| = z_max is below
     e^{-z_max^2} * poly and is negligible at z_max = 8.
 
-    Returns the series value; disagreement beyond ``rtol`` raises
+    Returns the series value; a relative disagreement beyond 1e-6 raises
     RepresentationMismatchError (truncation or quadrature failure).
     """
     if gamma <= 0:
@@ -208,7 +210,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
 
     integral = _lambda11_integral(series, gamma, pe, z_max, n_z)
 
-    tol = rtol * abs(value) + 1e-10 * (1.0 + pe**2 / gamma)
+    tol = _LAMBDA11_RTOL * abs(value) + 1e-10 * (1.0 + pe**2 / gamma)
     if abs(value - integral) > tol:
         raise RepresentationMismatchError(
             f"lambda11 series {value:.12e} vs integral {integral:.12e} "

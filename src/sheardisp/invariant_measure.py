@@ -28,6 +28,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc, k0e
 
+_TALBOT_NODES = 32       # fixed-Talbot contour points
+
 
 @dataclass(frozen=True)
 class BetaSpec:
@@ -111,11 +113,11 @@ def pdf_moment_quadrature(n: float, beta: float) -> float:
 # fixed-Talbot inverse Laplace transform
 # ---------------------------------------------------------------------------
 
-def talbot_inverse(transform, w, n_nodes: int = 32):
+def talbot_inverse(transform, w):
     """Numerical inverse Laplace transform on the fixed Talbot contour.
 
-    Samples the transform along p(theta) = (r/w) theta (cot theta + i)
-    with r = 2 n_nodes / 5 and sums the standard fixed-contour weights.
+    Samples the transform along p(theta) = (r/w) theta (cot theta + i) at
+    M = _TALBOT_NODES points, r = 2 M / 5, and sums the standard weights.
     The deformed contour requires all singularities of the transform on
     or near the negative real axis, which holds for every transform used
     here.
@@ -123,7 +125,7 @@ def talbot_inverse(transform, w, n_nodes: int = 32):
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w_arr <= 0):
         raise ValueError("inversion abscissa must be positive")
-    m = n_nodes
+    m = _TALBOT_NODES
     r = 2.0 * m / 5.0
     theta = np.pi * np.arange(1, m) / m
     cot = 1.0 / np.tan(theta)
@@ -141,7 +143,7 @@ def talbot_inverse(transform, w, n_nodes: int = 32):
     return out
 
 
-def reconstruct_pdf_from_moments(beta: float, z_grid, n_nodes: int = 32):
+def reconstruct_pdf_from_moments(beta: float, z_grid):
     """Rebuild the deterministic-data density from its moment function by
     inverse Laplace transform: f(z) = L^{-1}(mu)(-log z) / z.
 
@@ -153,7 +155,7 @@ def reconstruct_pdf_from_moments(beta: float, z_grid, n_nodes: int = 32):
     if np.any((z_arr <= 0.0) | (z_arr >= 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
     w = -np.log(z_arr)
-    vals = talbot_inverse(lambda p: (beta * p + 1.0) ** -0.5, w, n_nodes)
+    vals = talbot_inverse(lambda p: (beta * p + 1.0) ** -0.5, w)
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("Talbot contour evaluation failed (non-finite sum)")
     out = vals / z_arr

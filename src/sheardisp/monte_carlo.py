@@ -39,15 +39,17 @@ import numpy as np
 from .ou_process import OUPath, realization_seed
 from .eff_diffusivity import EigenData, FlowSpec
 
+# the forward moment history keeps every (n_steps // _N_RECORD)-th step and t_end
+_N_RECORD = 50
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, ensemble sizes, seeding, and transport parameters."""
+    """Step size, ensemble size, seeding and Pe; the walls are the flow's (``FlowSpec.bc``)."""
 
     dt: float = 1e-3
     n_particles: int = 10_000
     seed: int = 0
-    bc: str = "no-flux"
     pe: float = 1.0
 
     def __post_init__(self):
@@ -57,8 +59,6 @@ class SimConfig:
             raise ValueError("particle count must be >= 1")
         if self.pe < 0:
             raise ValueError("Pe must be nonnegative")
-        if self.bc not in ("no-flux", "periodic"):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
 
 def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
             cfg: SimConfig, rng: np.random.Generator):
-    """Reflected Euler y-walk accumulating D = sum_k v(Y_k, xi_k) dt.
+    """Euler y-walk between the flow's walls accumulating D = sum_k v(Y_k, xi_k) dt.
 
     ``xi_mid`` holds one xi value per step, in stepping order.  Yields
     (Y, D) before the first step and after every step; D is one array
@@ -193,7 +193,7 @@ def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
     yield y, drift
     for xi in xi_mid:
         drift += flow.velocity(y, xi, gamma) * cfg.dt
-        y = _apply_bc(y + sqrt2dt * rng.standard_normal(n), cfg.bc)
+        y = _apply_bc(y + sqrt2dt * rng.standard_normal(n), flow.bc)
         if y.size != n or not (y.min() >= 0.0 and y.max() <= 1.0):
             raise AssertionError("particle left the channel: reflection broke mass conservation")
         yield y, drift
@@ -208,14 +208,14 @@ def _xi_midpoints(path: Optional[OUPath], n_steps: int) -> np.ndarray:
 
 def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: float,
                      cfg: SimConfig, path: Optional[OUPath] = None,
-                     n_record: int = 50, n_y_bins: int = 10,
-                     keep_positions: bool = False,
+                     n_y_bins: int = 10, keep_positions: bool = False,
                      realization: int = 0) -> ForwardResult:
     """Forward particle ensemble for one flow realization.
 
     ``path`` supplies the shared xi realization (required unless the flow
     is steady); randomness beyond xi is the per-particle Brownian noise,
-    seeded from (cfg.seed, realization).  Moments are exact given the
+    seeded from (cfg.seed, realization).  Particles walk between the walls
+    the flow declares (``flow.bc``).  Moments are exact given the
     y-paths: with m = x0 + Pe D, <x> = <m> and <x^2> = <m^2> + 2t, and the
     y-binned variance is that of m plus 2t.  ``final_x`` is drawn from
     N(m, 2t), which has the law of an Euler scheme that also steps x.
@@ -233,7 +233,7 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     rng = np.random.default_rng(realization_seed(cfg.seed, realization))
     x0, y = init.sample_particles(cfg.n_particles, rng)
 
-    stride = max(1, n_steps // n_record)
+    stride = max(1, n_steps // _N_RECORD)
     rec_t, rec_m1, rec_m2 = [], [], []
     xi_mid = _xi_midpoints(path, n_steps)
     for k, (y, drift) in enumerate(_y_walk(flow, gamma, xi_mid, y, cfg, rng)):
@@ -287,12 +287,15 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
     Every backward sample sees the same xi path, so the estimate is one
     realization of the random field.  Given the y-walk's D the start point
     is x - Pe D - sqrt(2t) Z, and Z is averaged out exactly: the estimate
-    is the mean of ``init.value(x - Pe D, t)`` over the walks.  Returns
-    (estimate, standard error); a start point off the channel (y outside
-    [0, 1]) or not finite raises ``ValueError``.
+    is the mean of ``init.value(x - Pe D, t)`` over the walks, which run
+    between the walls the flow declares (``flow.bc``).  Returns (estimate,
+    standard error); a start point off the channel (y outside [0, 1]) or
+    not finite, or fewer than two particles, raises ``ValueError``.
     """
     if not (math.isfinite(x) and math.isfinite(y) and 0.0 <= y <= 1.0):
         raise ValueError(f"need finite x and y in [0, 1], got x={x!r}, y={y!r}")
+    if cfg.n_particles < 2:
+        raise ValueError(f"a standard error needs n_particles >= 2, got {cfg.n_particles}")
     if path.values is None:
         raise ValueError("backward evaluation needs pointwise xi values")
     n_steps = _step_indices(path, t, cfg.dt)
@@ -372,9 +375,6 @@ class PDFEstimate:
         f = np.asarray(cdf(self.sorted_samples), dtype=float)
         i = np.arange(1, self.n + 1)
         return float(np.max(np.maximum(np.abs(i / self.n - f), np.abs(f - (i - 1) / self.n))))
-
-    def moment(self, k: int) -> float:
-        return float(np.mean(self.sorted_samples**k))
 
     def variance(self) -> float:
         return float(np.var(self.sorted_samples))

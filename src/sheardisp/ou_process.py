@@ -6,12 +6,13 @@ so the stationary variance is gamma/2 and the autocovariance is
 
     xi(t+D) = xi(t) e^{-gamma D} + N(0, (gamma/2)(1 - e^{-2 gamma D})),
 
-which is bias-free for any step size; the pathwise time integral
-I(t) = int_0^t xi is accumulated by the trapezoidal rule on the grid.
+which is bias-free for any step size, on a uniform grid; the pathwise
+time integral I(t) = int_0^t xi is accumulated by the trapezoidal rule on
+the grid.
 
-The white-noise limit is a separate mode that samples the limit object
-directly (I(t) a scaled Brownian motion) instead of pushing gamma to
-infinity through the transition kernel.
+The white-noise limit has its own sampler, ``sample_brownian_scaled``,
+which draws the limit object directly (I(t) a scaled Brownian motion)
+instead of pushing gamma to infinity through the transition kernel.
 """
 
 from __future__ import annotations
@@ -25,16 +26,13 @@ from scipy.signal import lfilter
 
 @dataclass(frozen=True)
 class OUParams:
-    """Damping and sampling mode for the driving process."""
+    """Damping of the driving process."""
 
     gamma: float = 1.0
-    mode: str = "ou"          # "ou" | "white-noise-limit"
 
     def __post_init__(self):
-        if self.mode not in ("ou", "white-noise-limit"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "ou" and not self.gamma > 0:
-            raise ValueError("gamma must be positive in ou mode")
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
 
 
 @dataclass
@@ -48,7 +46,6 @@ class OUPath:
     times: np.ndarray
     values: Optional[np.ndarray]
     integral: Optional[np.ndarray] = None
-    seed: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -109,37 +106,32 @@ def transition_moments(gamma: float, dt: float) -> tuple[float, float]:
 
 def _draw_ou_values(gamma: float, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     normals = rng.standard_normal(t.size)
-    values = np.empty(t.size)
-    values[0] = np.sqrt(0.5 * gamma) * normals[0]
+    first = np.sqrt(0.5 * gamma) * normals[0]
     if t.size == 1:
-        return values
-    dts = np.diff(t)
-    if np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        decay, var = transition_moments(gamma, float(dts[0]))
-        # first-order recurrence xi_k = decay*xi_{k-1} + noise_k at C speed
-        inp = np.concatenate(([values[0]], np.sqrt(var) * normals[1:]))
-        return lfilter([1.0], [1.0, -decay], inp)
-    for k in range(1, t.size):
-        decay, var = transition_moments(gamma, float(dts[k - 1]))
-        values[k] = decay * values[k - 1] + np.sqrt(var) * normals[k]
-    return values
+        return np.array([first])
+    decay, var = transition_moments(gamma, float(t[1] - t[0]))
+    # first-order recurrence xi_k = decay*xi_{k-1} + noise_k at C speed
+    inp = np.concatenate(([first], np.sqrt(var) * normals[1:]))
+    return lfilter([1.0], [1.0, -decay], inp)
 
 
 def sample_ou(params: OUParams, t_grid: np.ndarray, seed: int,
               realization: int = 0) -> OUPath:
-    """Draw one stationary OU path on the given grid, integral included.
+    """Draw one stationary OU path on the given uniform grid, integral included.
 
     Identical (params, t_grid, seed, realization) reproduce the path
-    bit-for-bit; distinct realization indices give independent paths.
+    bit-for-bit; distinct realization indices give independent paths.  A
+    non-uniform grid raises ``ValueError``.
     """
-    if params.mode != "ou":
-        raise ValueError("sample_ou requires ou mode; use sample_brownian_scaled for the limit")
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ValueError("empty time grid")
+    dts = np.diff(t)
+    if dts.size and not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("OU paths are sampled on a uniform time grid")
     rng = np.random.default_rng(realization_seed(seed, realization))
     values = _draw_ou_values(params.gamma, t, rng)
-    return integrate_path(OUPath(times=t, values=values, seed=seed))
+    return integrate_path(OUPath(times=t, values=values))
 
 
 def integrate_path(path: OUPath) -> OUPath:
@@ -175,7 +167,7 @@ def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
     if t.size > 1:
         incs = rng.standard_normal(t.size - 1) * np.sqrt(np.diff(t))
         integ[1:] = scale * np.cumsum(incs)
-    return OUPath(times=t, values=None, integral=integ, seed=seed)
+    return OUPath(times=t, values=None, integral=integ)
 
 
 def integral_variance(gamma: float, t) -> np.ndarray:

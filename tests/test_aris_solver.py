@@ -20,7 +20,6 @@ from sheardisp.aris_solver import (
     nth_moment_prediction,
     npoint_correlator,
     ou_integral_identity,
-    rescaled_moment,
     solve_aris,
 )
 
@@ -175,12 +174,6 @@ EIG = EigenData.from_lambdas(3.0, 1.0, 1.0, 1.0)
 
 
 class TestMomentPredictions:
-    def test_normalization(self):
-        assert rescaled_moment(0, 1.7) == pytest.approx(1.0)
-
-    def test_beta_one(self):
-        assert rescaled_moment(3, 1.0) == pytest.approx(0.5)
-
     def test_single_point_reduction(self):
         # N = 1 is a Gaussian with variance lambda2 t
         t = 4.0

@@ -139,6 +139,30 @@ class TestEstimateGamma:
         assert len(rec["gamma_hats"]) == 6
 
 
+# (subcommand, flag it does not read) pairs; aris has no-flux walls only
+UNREAD_FLAGS = [
+    ["kappa-eff", "--seed", "1"],
+    ["kappa-eff", "--outdir", "{out}"],
+    ["kappa-eff", "--threads", "2"],
+    ["pdf", "--seed", "1", "--outdir", "{out}"],
+    ["pdf", "--threads", "2", "--outdir", "{out}"],
+    ["estimate-gamma", "--outdir", "{out}", "--t-end", "20", "--dt", "0.01", "--paths", "1"],
+    ["estimate-gamma", "--threads", "2", "--t-end", "20", "--dt", "0.01", "--paths", "1"],
+    ["validate", "--seed", "1", "--only", "1"],
+    ["validate", "--outdir", "{out}", "--only", "1"],
+    ["validate", "--threads", "2", "--only", "1"],
+    ["aris", "--bc", "periodic", "--t-end", "20", "--dt", "0.01", "--outdir", "{out}"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[" ".join(a[:2]) for a in UNREAD_FLAGS])
+def test_unread_flag_is_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path) if a == "{out}" else a for a in argv])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
 class TestConfigDocument:
     def test_flags_override_document(self, tmp_path, capsys):
         cfg = {"flow": "linear", "gamma": 2.0, "pe": 1.0}
@@ -149,3 +173,9 @@ class TestConfigDocument:
                                    "--gamma", "5"], capsys)
         assert json.loads(out_doc)["gamma"] == 2.0
         assert json.loads(out_override)["gamma"] == 5.0
+
+    def test_unread_field_is_rejected(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        with pytest.raises(SystemExit, match="seed"):
+            main(["kappa-eff", "--config", str(cfg_path)])

@@ -50,7 +50,7 @@ class TestConfigAndInitialData:
         with pytest.raises(ValueError):
             SimConfig(pe=-1.0)
         with pytest.raises(ValueError):
-            SimConfig(bc="slippery")
+            FlowSpec.multiplicative(linear_profile(), bc="slippery")
 
     def test_initial_data(self):
         with pytest.raises(ValueError):
@@ -191,13 +191,22 @@ class TestForwardSimulation:
         assert abs(ks[0][0] - ks[1][0]) < 2.5 * math.hypot(ks[0][1], ks[1][1])
 
     def test_periodic_bc_runs(self):
+        # the walls come from the flow: with a SimConfig that names none, the
+        # walk wraps, matching the same RNG stream (uniform starts, then one
+        # normal per particle-step) walked with y -> y - floor(y)
         u = GridFunction.from_callable(lambda y: np.sin(2 * np.pi * y), 256)
         path = sample_ou(OUParams(1.0), time_grid(2.0, 0.01), seed=5)
-        cfg = SimConfig(dt=0.01, n_particles=2_000, seed=6, pe=1.0, bc="periodic")
+        cfg = SimConfig(dt=0.01, n_particles=2_000, seed=6, pe=1.0)
         res = simulate_forward(FlowSpec.multiplicative(u, bc="periodic"), 1.0,
                                InitialData.delta_line(), 2.0, cfg, path,
                                keep_positions=True)
         assert np.all((res.final_y >= 0) & (res.final_y <= 1))
+        rng = np.random.default_rng(realization_seed(cfg.seed, 0))
+        y = rng.uniform(0.0, 1.0, cfg.n_particles)
+        for _ in range(200):
+            y = y + math.sqrt(2.0 * cfg.dt) * rng.standard_normal(cfg.n_particles)
+            y = y - np.floor(y)
+        np.testing.assert_array_equal(res.final_y, y)
 
     def test_large_dt_walk_stays_inside(self, fold_calls):
         # sqrt(2 dt) = 1: steps overshoot by more than a channel width and
@@ -247,6 +256,16 @@ class TestBackwardEvaluation:
                                           0.2, 0.5, 0.0, init, cfg)
         assert val == pytest.approx(float(init.value(0.2)), rel=1e-14)
         assert se == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_particle_raises(self):
+        # one sample has no standard error
+        u = linear_profile()
+        path = sample_ou(OUParams(1.0), time_grid(0.1, 0.01), seed=3)
+        cfg = SimConfig(dt=0.01, n_particles=1, seed=4, pe=1.0)
+        with pytest.raises(ValueError, match="n_particles"):
+            evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path,
+                                    0.0, 0.5, 0.1, InitialData.gaussian(0.5), cfg)
 
     @pytest.mark.parametrize("x, y", [(0.0, 1.5), (0.0, -0.1), (0.0, math.nan),
                                       (math.nan, 0.5), (math.inf, 0.5)])

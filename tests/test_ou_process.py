@@ -22,9 +22,6 @@ class TestParamsAndPathValidation:
             OUParams(gamma=-1.0)
         with pytest.raises(ValueError):
             OUParams(gamma=0.0)
-        with pytest.raises(ValueError):
-            OUParams(mode="nonsense")
-        OUParams(gamma=-1.0, mode="white-noise-limit")  # gamma unused there
 
     def test_path_grid(self):
         with pytest.raises(ValueError):
@@ -34,9 +31,12 @@ class TestParamsAndPathValidation:
         with pytest.raises(ValueError):
             sample_ou(OUParams(1.0), np.array([]), seed=0)
 
+    def test_non_uniform_grid_raises(self):
+        # the exact transition runs as one fixed-step recurrence
+        with pytest.raises(ValueError, match="uniform"):
+            sample_ou(OUParams(1.0), np.array([0.0, 0.1, 0.3]), seed=0)
+
     def test_mode_errors(self):
-        with pytest.raises(ValueError):
-            sample_ou(OUParams(mode="white-noise-limit"), time_grid(1.0, 0.5), seed=0)
         wp = sample_brownian_scaled(time_grid(1.0, 0.5), 1.0, seed=0)
         with pytest.raises(ValueError):
             _ = wp.xi          # pointwise values undefined in the limit
