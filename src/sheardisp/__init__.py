@@ -11,7 +11,6 @@ from .ou_process import (
     OUPath,
     sample_ou,
     sample_ensemble,
-    integrate_path,
     sample_brownian_scaled,
     integral_variance,
     realization_seed,

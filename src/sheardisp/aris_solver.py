@@ -10,10 +10,11 @@ cross-sectional averages close exactly:
 with phi_n = sqrt(2) cos(n pi y), lambda_n = n^2 pi^2,
 
     q_n(t) = e^{-lambda_n t} int_0^t e^{lambda_n s} xi(s) ds,
-    J_n(t) = int_0^t xi(s) q_n(s) ds.
+    J_n(t) = int_0^t xi(s) q_n(s) ds,
 
-The exponentially weighted integrals overflow if evaluated literally;
-q_n is advanced by the unconditionally stable recursion
+all J_n coming from ``exp_weighted_integral``.  The exponentially
+weighted integrals overflow if evaluated literally; q_n is advanced by
+the unconditionally stable recursion
 q_n(t+D) = q_n(t) e^{-lambda_n D} + (local quadrature), with xi linear
 on each step.
 
@@ -48,7 +49,6 @@ class ArisRecord:
     times: np.ndarray
     t1bar: np.ndarray
     t2bar: np.ndarray
-    modes: np.ndarray            # a_n(t), shape (n_max, n_times), n = 1..n_max
     kappa_estimate: np.ndarray   # (T2bar - T1bar^2) / (2t); nan at t = 0
 
     def centered_second(self) -> np.ndarray:
@@ -85,52 +85,34 @@ class CorrelatorSpec:
 # pathwise solve
 # ---------------------------------------------------------------------------
 
-def _uniform_step(path: OUPath) -> float:
-    dts = np.diff(path.times)
-    if dts.size == 0:
-        raise ValueError("path must contain more than one node")
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("Aris solves require a uniform path grid")
-    return float(dts[0])
-
-
 def exp_weighted_integral(path: OUPath, lam: float) -> np.ndarray:
     """J(t_k) = int_0^{t_k} xi(s) e^{-lam s} int_0^s e^{lam tau} xi(tau) dtau ds,
-    evaluated stably through the running mode amplitude."""
-    dt = _uniform_step(path)
-    return _cumtrapz(path.xi * _decay_filter_forward(path.xi, dt, lam), dt)
+    evaluated stably through the running mode amplitude q (xi linear on
+    each step)."""
+    xi = path.xi
+    return _cumtrapz(xi * _decay_filter_forward(xi, path.dt, lam), path.dt)
 
 
 def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> ArisRecord:
     """Evolve the first two Aris moments along one OU realization.
 
     Mass is conserved exactly (T0bar = 1 for the delta line source), so
-    only T1bar and T2bar are tracked, plus the spectral mode amplitudes
-    a_n(t) = Pe <u, phi_n> q_n(t).
+    only T1bar and T2bar are tracked; T2bar sums J_n over the modes
+    n = 1..n_max with <u, phi_n> != 0.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if path.integral is None or path.values is None:
-        raise ValueError("path must carry xi values and the populated integral")
-    dt = _uniform_step(path)
     coeffs = cosine_project(u, n_max)
-    ubar = coeffs[0]
-    xi = path.xi
-
-    t1 = pe * ubar * path.integral
-    centered = 2.0 * path.times.copy()
-    modes = np.empty((n_max, path.times.size))
+    t1 = pe * coeffs[0] * path.integral
+    centered = 2.0 * path.times
     for n in range(1, n_max + 1):
-        lam = cosine_eigenvalue(n)
-        # q_n(t_k) for q' = -lambda_n q + xi, xi linear on each step
-        q = _decay_filter_forward(xi, dt, lam)
-        modes[n - 1] = pe * coeffs[n] * q
         if coeffs[n] != 0.0:
-            centered += 2.0 * pe**2 * coeffs[n] ** 2 * _cumtrapz(xi * q, dt)
+            centered += 2.0 * pe**2 * coeffs[n] ** 2 * exp_weighted_integral(
+                path, cosine_eigenvalue(n))
     t2 = centered + t1**2
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(path.times > 0, centered / (2.0 * path.times), np.nan)
-    return ArisRecord(path.times, t1, t2, modes, kappa)
+    return ArisRecord(path.times, t1, t2, kappa)
 
 
 def kappa_from_realization(record: ArisRecord, t_window: Optional[tuple[float, float]] = None) -> float:
@@ -157,6 +139,13 @@ def kappa_from_realization(record: ArisRecord, t_window: Optional[tuple[float, f
 # OU time-integral identity and damping estimator
 # ---------------------------------------------------------------------------
 
+def _identity_eigenvalue(n: int) -> float:
+    """lambda_n of mode n >= 1; mode 0 (lambda 0) has no identity."""
+    if n < 1:
+        raise ValueError(f"mode index n must be >= 1, got {n}")
+    return cosine_eigenvalue(n)
+
+
 def ou_integral_identity(n: int, gamma: float, path: OUPath) -> tuple[float, float]:
     """Long-time identity for the doubly exponentially weighted OU integral.
 
@@ -164,7 +153,7 @@ def ou_integral_identity(n: int, gamma: float, path: OUPath) -> tuple[float, flo
     rhs = 1/2 - pi^2 n^2 / (2 (gamma + pi^2 n^2)),
     equal up to O(1/t).
     """
-    lam = cosine_eigenvalue(n)
+    lam = _identity_eigenvalue(n)
     t_end = path.t_end
     if t_end < 50.0 / gamma or t_end < 50.0 / lam:
         raise ValueError(f"path too short: need t >= {max(50.0 / gamma, 50.0 / lam):.3g}")
@@ -176,7 +165,7 @@ def ou_integral_identity(n: int, gamma: float, path: OUPath) -> tuple[float, flo
 def estimate_gamma(path: OUPath, n: int = 1) -> float:
     """Invert the integral identity into a damping estimate
     gammahat = 2 n^2 pi^2 I / (1 - 2 I), valid for I in (0, 1/2)."""
-    lam = cosine_eigenvalue(n)
+    lam = _identity_eigenvalue(n)
     stat = float(exp_weighted_integral(path, lam)[-1]) / path.t_end
     if not 0.0 < stat < 0.5:
         raise EstimatorDomainError(

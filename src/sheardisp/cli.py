@@ -82,16 +82,24 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _validate_numeric(cfg: dict) -> None:
+    """Range rules for the numeric fields; a value that is not an int or
+    float (a string or a bool from a --config document) is rejected too."""
     rules = {
         "gamma": lambda v: v > 0, "pe": lambda v: v >= 0,
         "t_end": lambda v: v > 0, "dt": lambda v: v > 0,
         "particles": lambda v: v >= 1, "realizations": lambda v: v >= 1,
         "paths": lambda v: v >= 1, "bins": lambda v: v >= 2,
         "beta": lambda v: v > 0, "n_modes": lambda v: v >= 1,
+        "mode_index": lambda v: v >= 1, "init_s": lambda v: v > 0,
     }
     for key, ok in rules.items():
-        if key in cfg and cfg[key] is not None and not ok(cfg[key]):
-            raise SystemExit(f"config field {key}={cfg[key]!r} out of range")
+        value = cfg.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SystemExit(f"config field {key}={value!r} is not a number")
+        if not ok(value):
+            raise SystemExit(f"config field {key}={value!r} out of range")
 
 
 def _write_manifest(outdir: Path, cfg: dict, extra: dict | None = None) -> None:
@@ -189,7 +197,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _outdir(cfg)
     flow = (FlowSpec.steady(u, cfg["bc"]) if cfg.get("steady")
             else FlowSpec.multiplicative(u, cfg["bc"]))
-    init = (InitialData.gaussian(cfg["init_s"]) if cfg.get("init_s")
+    init = (InitialData.gaussian(cfg["init_s"]) if cfg.get("init_s") is not None
             else InitialData.delta_line())
     sim = SimConfig(dt=cfg["dt"], n_particles=cfg["particles"], seed=cfg["seed"],
                     pe=cfg["pe"])

@@ -115,7 +115,7 @@ class InitialData:
             decay = math.exp(-self.a * self.a * t)
             return 2.0 * np.real(self.amplitude * np.exp(-1j * self.a * x)) * decay
         var = 2.0 * t + (self.s if self.kind == "gaussian" else 0.0)
-        return np.exp(-x**2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        return np.exp(-(x * x) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
 @dataclass
@@ -171,11 +171,10 @@ def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer number of steps")
     if path is not None:
+        if abs(path.dt - dt) > 1e-9 * dt:
+            raise ValueError("path grid must coincide with the stepping grid")
         if path.times.size < n_steps + 1:
             raise ValueError("path does not cover [0, t_end] at the stepping resolution")
-        dts = np.diff(path.times[:n_steps + 1])
-        if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
-            raise ValueError("path grid must coincide with the stepping grid")
     return n_steps
 
 

@@ -6,18 +6,21 @@ so the stationary variance is gamma/2 and the autocovariance is
 
     xi(t+D) = xi(t) e^{-gamma D} + N(0, (gamma/2)(1 - e^{-2 gamma D})),
 
-which is bias-free for any step size, on a uniform grid; the pathwise
-time integral I(t) = int_0^t xi is accumulated by the trapezoidal rule on
-the grid.
+which is bias-free for any step size, on a uniform grid.
 
-The white-noise limit has its own sampler, ``sample_brownian_scaled``,
-which draws the limit object directly (I(t) a scaled Brownian motion)
+An ``OUPath`` carries its step ``dt`` and its running integral
+I(t) = int_0^t xi from construction: the constructor validates the grid
+once (uniform, starting at 0) and integrates the values by the
+trapezoidal rule.  The white-noise limit has its own sampler,
+``sample_brownian_scaled``, which draws the limit object directly (I(t) a
+scaled Brownian motion, passed as the integral; no pointwise values)
 instead of pushing gamma to infinity through the transition kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,24 +40,35 @@ class OUParams:
 
 @dataclass
 class OUPath:
-    """One realization: node times, xi values, and the running integral.
+    """One realization on a uniform grid: node times, xi values, the step
+    ``dt`` and the running integral I(t), all fixed at construction.
 
-    ``values`` is None for white-noise-limit paths, where only the
-    Brownian integral is defined.
+    Give ``values`` (I is then their trapezoidal integral) or, for
+    white-noise-limit paths where only the Brownian integral is defined,
+    ``integral``; giving both or neither raises ``ValueError``, as does a
+    grid that is not uniform from 0 with at least two nodes.
     """
 
     times: np.ndarray
-    values: Optional[np.ndarray]
+    values: Optional[np.ndarray] = None
     integral: Optional[np.ndarray] = None
+    dt: float = field(init=False)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 1:
-            raise ValueError("times must be a nonempty 1-d grid")
-        if self.times[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("time grid must be strictly increasing")
+        if (self.values is None) == (self.integral is None):
+            raise ValueError("give exactly one of values and integral")
+        t = self.times = np.asarray(self.times, dtype=float)
+        self.dt = dt = _grid_step(t)
+        if not np.max(np.abs(t - dt * np.arange(t.size))) <= 1e-9 * dt:
+            raise ValueError("path grid must be uniform and start at 0")
+        given = self.integral if self.values is None else self.values
+        if np.shape(given) != t.shape:
+            raise ValueError("values or integral must have one entry per grid node")
+        if self.values is None:
+            self.integral = np.asarray(self.integral, dtype=float)
+        else:
+            self.values = np.asarray(self.values, dtype=float)
+            self.integral = _cumtrapz(self.values, dt)
 
     @property
     def t_end(self) -> float:
@@ -69,14 +83,11 @@ class OUPath:
 
     def integral_at(self, t: float) -> float:
         """Linear interpolation of I(t) between grid nodes."""
-        if self.integral is None:
-            raise ValueError("integral not populated; call integrate_path first")
         return float(np.interp(t, self.times, self.integral))
 
     def to_csv(self, path) -> None:
         xi = self.values if self.values is not None else np.full_like(self.times, np.nan)
-        integ = self.integral if self.integral is not None else np.full_like(self.times, np.nan)
-        data = np.column_stack([self.times, xi, integ])
+        data = np.column_stack([self.times, xi, self.integral])
         np.savetxt(path, data, delimiter=",", header="t,xi,integral", comments="")
 
 
@@ -104,14 +115,19 @@ def transition_moments(gamma: float, dt: float) -> tuple[float, float]:
     return float(decay), float(var)
 
 
+def _grid_step(t: np.ndarray) -> float:
+    """The first step of a path grid, which must be 1-d with at least two
+    nodes and increase; ``OUPath`` checks that every step equals it."""
+    if t.ndim != 1 or t.size < 2 or not t[1] > t[0]:
+        raise ValueError("a path grid is 1-d and increasing with at least two nodes")
+    return float(t[1] - t[0])
+
+
 def _draw_ou_values(gamma: float, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    decay, var = transition_moments(gamma, _grid_step(t))
     normals = rng.standard_normal(t.size)
-    first = np.sqrt(0.5 * gamma) * normals[0]
-    if t.size == 1:
-        return np.array([first])
-    decay, var = transition_moments(gamma, float(t[1] - t[0]))
     # first-order recurrence xi_k = decay*xi_{k-1} + noise_k at C speed
-    inp = np.concatenate(([first], np.sqrt(var) * normals[1:]))
+    inp = np.concatenate(([np.sqrt(0.5 * gamma) * normals[0]], np.sqrt(var) * normals[1:]))
     return lfilter([1.0], [1.0, -decay], inp)
 
 
@@ -124,27 +140,12 @@ def sample_ou(params: OUParams, t_grid: np.ndarray, seed: int,
     non-uniform grid raises ``ValueError``.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty time grid")
-    dts = np.diff(t)
-    if dts.size and not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("OU paths are sampled on a uniform time grid")
     rng = np.random.default_rng(realization_seed(seed, realization))
-    values = _draw_ou_values(params.gamma, t, rng)
-    return integrate_path(OUPath(times=t, values=values))
+    return OUPath(times=t, values=_draw_ou_values(params.gamma, t, rng))
 
 
-def integrate_path(path: OUPath) -> OUPath:
-    """Populate the running trapezoidal integral I(t) along the path."""
-    if path.values is None:
-        raise ValueError("path has no pointwise values to integrate")
-    path.integral = _cumtrapz(path.values, np.diff(path.times))
-    return path
-
-
-def _cumtrapz(values: np.ndarray, dt) -> np.ndarray:
-    """Running trapezoidal integral, zero at the first node; ``dt`` is the
-    step, one per interval or a scalar for a uniform grid."""
+def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoidal integral on a uniform grid of step dt, zero at the first node."""
     out = np.empty(values.size)
     out[0] = 0.0
     out[1:] = np.cumsum(0.5 * dt * (values[:-1] + values[1:]))
@@ -153,21 +154,16 @@ def _cumtrapz(values: np.ndarray, dt) -> np.ndarray:
 
 def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
                            realization: int = 0) -> OUPath:
-    """White-noise-limit path: I(t) is a Brownian motion times ``scale``.
+    """White-noise-limit path on a uniform grid: I(t) is a Brownian motion
+    times ``scale``.
 
     The pointwise driving process has no finite-valued samples in this
-    limit, so ``values`` stays None and only the integral is populated.
+    limit, so the path carries the integral and no values.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty time grid")
     rng = np.random.default_rng(realization_seed(seed, realization))
-    integ = np.empty_like(t)
-    integ[0] = 0.0
-    if t.size > 1:
-        incs = rng.standard_normal(t.size - 1) * np.sqrt(np.diff(t))
-        integ[1:] = scale * np.cumsum(incs)
-    return OUPath(times=t, values=None, integral=integ)
+    incs = math.sqrt(_grid_step(t)) * rng.standard_normal(t.size - 1)
+    return OUPath(times=t, integral=np.concatenate(([0.0], scale * np.cumsum(incs))))
 
 
 def integral_variance(gamma: float, t) -> np.ndarray:

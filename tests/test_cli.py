@@ -57,9 +57,21 @@ class TestKappaEff:
         with pytest.raises(SystemExit):
             main(["kappa-eff", "--flow", "no/such/file.csv"])
 
-    def test_invalid_numeric_config(self):
-        with pytest.raises(SystemExit):
-            main(["kappa-eff", "--flow", "linear", "--gamma", "-3"])
+    @pytest.mark.parametrize("argv, doc, field", [
+        (["kappa-eff", "--flow", "linear", "--gamma", "-3"], None, "gamma"),
+        (["estimate-gamma", "--mode-index", "0"], None, "mode_index"),
+        (["kappa-eff"], {"gamma": "2"}, "gamma"),
+        (["kappa-eff"], {"pe": True}, "pe"),
+        (["simulate", "--init-s", "0"], None, "init_s"),
+        (["simulate", "--init-s", "-1"], None, "init_s"),
+    ], ids=["negative-gamma", "mode-index-0", "string-gamma", "bool-pe",
+            "init-s-0", "negative-init-s"])
+    def test_invalid_numeric_config(self, argv, doc, field, tmp_path):
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        with pytest.raises(SystemExit, match=f"config field {field}="):
+            main(argv)
 
 
 class TestAris:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from sheardisp.ou_process import (
-    OUParams, integral_variance, realization_seed, sample_ou, time_grid,
+    OUParams, OUPath, integral_variance, realization_seed, sample_ou, time_grid,
 )
 from sheardisp.spectral_core import GridFunction
 from sheardisp.eff_diffusivity import (
@@ -78,6 +78,15 @@ class TestConfigAndInitialData:
         for data in (g, d, rw):
             with pytest.raises(ValueError):
                 data.value(0.0, -0.1)
+
+    def test_scalar_and_array_values_agree_bitwise(self):
+        # the wind model and the backward solver evaluate the same data at a
+        # scalar x and on arrays; both must square x the same way
+        g = InitialData.gaussian(0.5)
+        xs = np.random.default_rng(0).standard_normal(20_000)
+        scalar = np.array([g.value(x, 0.3) for x in xs])
+        one_element = np.array([g.value(np.array([x]), 0.3)[0] for x in xs])
+        assert np.array_equal(scalar, one_element)
 
     @given(st.floats(min_value=-25, max_value=25, allow_nan=False))
     @settings(max_examples=100, deadline=None)
@@ -364,8 +373,7 @@ def test_bad_t_end_raises(solver, t_end):
 class TestWindModel:
     def test_centered_peak(self):
         grid = time_grid(4.0, 0.5)
-        from sheardisp.ou_process import OUPath, integrate_path
-        path = integrate_path(OUPath(times=grid, values=np.zeros_like(grid)))
+        path = OUPath(times=grid, values=np.zeros_like(grid))
         eig = lambda_white(linear_profile(), 1.0)
         val = wind_model_solution(0.0, 4.0, path, eig, ubar=0.5)
         assert float(val) == pytest.approx(
@@ -384,8 +392,7 @@ class TestWindModel:
     def test_gaussian_variance_is_exact(self):
         s = 0.5
         grid = time_grid(1.0, 0.01)
-        from sheardisp.ou_process import OUPath, integrate_path
-        path = integrate_path(OUPath(times=grid, values=np.zeros_like(grid)))
+        path = OUPath(times=grid, values=np.zeros_like(grid))
         eig = lambda_multiplicative(linear_profile(), 1.0, 1.0)
         var = s + 2 * eig.kappa_eff * 1.0
         val = wind_model_solution(0.0, 1.0, path, eig, 0.5, init=InitialData.gaussian(s))

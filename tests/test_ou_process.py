@@ -7,7 +7,6 @@ from sheardisp.ou_process import (
     OUParams,
     OUPath,
     integral_variance,
-    integrate_path,
     sample_brownian_scaled,
     sample_ensemble,
     sample_ou,
@@ -30,11 +29,23 @@ class TestParamsAndPathValidation:
             OUPath(times=np.array([0.0, 1.0, 1.0]), values=np.zeros(3))
         with pytest.raises(ValueError):
             sample_ou(OUParams(1.0), np.array([]), seed=0)
+        with pytest.raises(ValueError, match="uniform"):
+            OUPath(times=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
+        grid = time_grid(1.0, 0.5)
+        with pytest.raises(ValueError, match="exactly one"):
+            OUPath(times=grid, values=np.zeros(3), integral=np.zeros(3))
+        with pytest.raises(ValueError, match="exactly one"):
+            OUPath(times=grid)
+        p = OUPath(times=grid, integral=np.array([0.0, 0.3, -0.1]))
+        assert p.dt == 0.5
+        assert p.integral_at(0.75) == pytest.approx(0.1, abs=1e-15)
 
     def test_non_uniform_grid_raises(self):
         # the exact transition runs as one fixed-step recurrence
         with pytest.raises(ValueError, match="uniform"):
             sample_ou(OUParams(1.0), np.array([0.0, 0.1, 0.3]), seed=0)
+        with pytest.raises(ValueError, match="uniform"):
+            sample_brownian_scaled(np.array([0.0, 0.1, 0.3]), 1.0, seed=0)
 
     def test_mode_errors(self):
         wp = sample_brownian_scaled(time_grid(1.0, 0.5), 1.0, seed=0)
@@ -117,12 +128,12 @@ class TestStationaryStatistics:
 class TestIntegration:
     def test_zero_integrand(self):
         grid = time_grid(3.0, 0.5)
-        p = integrate_path(OUPath(times=grid, values=np.zeros_like(grid)))
+        p = OUPath(times=grid, values=np.zeros_like(grid))
         assert np.all(p.integral == 0.0)
 
     def test_constant_integrand(self):
         grid = time_grid(3.0, 0.25)
-        p = integrate_path(OUPath(times=grid, values=np.full_like(grid, 1.7)))
+        p = OUPath(times=grid, values=np.full_like(grid, 1.7))
         assert np.max(np.abs(p.integral - 1.7 * grid)) < 1e-12
 
     def test_integral_variance_formula(self):
@@ -143,11 +154,6 @@ class TestIntegration:
         I = np.array([sample_ou(OUParams(1.0), grid, seed=99, realization=i).integral[-1]
                       for i in range(10_000)])
         assert abs(np.mean(I**2) / 100.0 - 1.0) < 0.05
-
-    def test_unintegrated_white_path(self):
-        wp = sample_brownian_scaled(time_grid(1.0, 0.5), 1.0, seed=0)
-        with pytest.raises(ValueError):
-            integrate_path(wp)
 
 
 class TestBrownianLimit:
