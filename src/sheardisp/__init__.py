@@ -20,7 +20,6 @@ from .spectral_core import (
     HermiteSeries,
     SolvabilityError,
     helmholtz_inverse,
-    hermite_eval,
     hermite_norm,
     hermite_project,
     cosine_project,

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .ou_process import OUParams, sample_ou, time_grid, integral_variance
 from .spectral_core import (
-    GridFunction, HermiteSeries, hermite_eval, hermite_norm,
+    GridFunction, HermiteSeries, hermite_norm,
     helmholtz_inverse, hermite_project,
 )
 from .eff_diffusivity import (
@@ -324,13 +324,10 @@ def criterion_10_kernels() -> CriterionResult:
             order = _residual_order(bc, lam)
             checks.append((order >= 1.9, f"{bc} lam={lam}: residual order {order:.2f}>=1.9"))
     z, w = np.polynomial.hermite.hermgauss(64)
-    worst = 0.0
-    for m in range(13):
-        hm = hermite_eval(m, z)
-        for n in range(m, 13):
-            g = float(np.sum(w * hm * hermite_eval(n, z))) / math.sqrt(math.pi)
-            expected = hermite_norm(n) if m == n else 0.0
-            worst = max(worst, abs(g - expected) / hermite_norm(max(m, n)))
+    vander = np.polynomial.hermite.hermvander(z, 12)
+    gram = (vander.T * w) @ vander / math.sqrt(math.pi)
+    norms = np.array([hermite_norm(n) for n in range(13)])
+    worst = float(np.max(np.abs(gram - np.diag(norms)) / np.maximum.outer(norms, norms)))
     checks.append((worst <= 1e-10, f"Hermite orthogonality, worst normalized err {worst:.2e}<=1e-10"))
 
     nodes = np.linspace(0.0, 1.0, 513)

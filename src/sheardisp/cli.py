@@ -81,9 +81,16 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return merged
 
 
+# count fields take an int only; a float such as 2.5 from a --config
+# document would otherwise fail deep inside range() or numpy
+_INT_FIELDS = ("paths", "realizations", "particles", "n_modes", "mode_index",
+               "bins", "seed", "threads")
+
+
 def _validate_numeric(cfg: dict) -> None:
     """Range rules for the numeric fields; a value that is not an int or
-    float (a string or a bool from a --config document) is rejected too."""
+    float (a string or a bool from a --config document), or not an int for
+    a count field, is rejected too."""
     rules = {
         "gamma": lambda v: v > 0, "pe": lambda v: v >= 0,
         "t_end": lambda v: v > 0, "dt": lambda v: v > 0,
@@ -91,13 +98,16 @@ def _validate_numeric(cfg: dict) -> None:
         "paths": lambda v: v >= 1, "bins": lambda v: v >= 2,
         "beta": lambda v: v > 0, "n_modes": lambda v: v >= 1,
         "mode_index": lambda v: v >= 1, "init_s": lambda v: v > 0,
+        "seed": lambda v: v >= 0, "threads": lambda v: v >= 1,
     }
     for key, ok in rules.items():
         value = cfg.get(key)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SystemExit(f"config field {key}={value!r} is not a number")
+        kinds = int if key in _INT_FIELDS else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            kind = "an int" if key in _INT_FIELDS else "a number"
+            raise SystemExit(f"config field {key}={value!r} is not {kind}")
         if not ok(value):
             raise SystemExit(f"config field {key}={value!r} out of range")
 
@@ -126,7 +136,7 @@ def _outdir(cfg: dict) -> Path:
 
 def _map_realizations(fn, n: int, threads: int) -> list:
     """Run per-realization work, optionally on a thread pool, in index order."""
-    if threads and threads > 1:
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, range(n)))

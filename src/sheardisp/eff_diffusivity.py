@@ -182,7 +182,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
                      z_max: float = 8.0, n_z: int = 4000) -> Lambda11Result:
     """lambda11 by two routes with a built-in agreement check.
 
-    Series: (2 Pe^2 / gamma) sum_{n>=1} (n-1)! 2^n abar_n^2.
+    Series: (2 Pe^2 / gamma) sum_{n>=1} (n! 2^n / n) abar_n^2.
 
     Integral: (4 Pe^2 / (gamma sqrt(pi))) *
         int e^{z^2} ( int_{-inf}^{z} e^{-s^2} vbar(s) ds )^2 dz,
@@ -204,9 +204,8 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
     n_h = series.n_modes if n_h is None else min(n_h, series.n_modes)
     abar = series.mean_coefficients()[:n_h + 1]
 
-    value = 0.0
-    for n in range(1, n_h + 1):
-        value += (2.0 * pe**2 / gamma) * math.factorial(n - 1) * 2.0**n * abar[n] ** 2
+    value = (2.0 * pe**2 / gamma) * sum(hermite_norm(n) / n * abar[n] ** 2
+                                        for n in range(1, n_h + 1))
 
     integral = _lambda11_integral(series, gamma, pe, z_max, n_z)
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ou_process import OUPath, realization_seed
+from .ou_process import OUPath, _step_count, realization_seed
 from .eff_diffusivity import EigenData, FlowSpec
 
 # the forward moment history keeps every (n_steps // _N_RECORD)-th step and t_end
@@ -165,11 +165,7 @@ def _apply_bc(y: np.ndarray, bc: str) -> np.ndarray:
 
 
 def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = _step_count(t_end, dt)
     if path is not None:
         if abs(path.dt - dt) > 1e-9 * dt:
             raise ValueError("path grid must coincide with the stepping grid")

@@ -82,7 +82,10 @@ class OUPath:
         return self.values
 
     def integral_at(self, t: float) -> float:
-        """Linear interpolation of I(t) between grid nodes."""
+        """Linear interpolation of I(t) between grid nodes; a t outside the
+        path's span (beyond a 1e-9 dt roundoff slack) raises ``ValueError``."""
+        if not -1e-9 * self.dt <= t <= self.t_end + 1e-9 * self.dt:
+            raise ValueError(f"t={t!r} is outside the path's span [0, {self.t_end!r}]")
         return float(np.interp(t, self.times, self.integral))
 
     def to_csv(self, path) -> None:
@@ -93,10 +96,20 @@ class OUPath:
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:
     """Uniform grid over [0, t_end] with spacing dt (t_end/dt must be whole)."""
+    return np.linspace(0.0, t_end, _step_count(t_end, dt) + 1)
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """round(t_end/dt) for a finite dt > 0 and a finite t_end >= 0 that is a
+    whole number of steps (1e-9 slack); anything else raises ``ValueError``."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
     n = int(round(t_end / dt))
     if abs(n * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
-    return np.linspace(0.0, t_end, n + 1)
+        raise ValueError(f"t_end={t_end!r} must be a whole number of steps dt={dt!r}")
+    return n
 
 
 def realization_seed(seed: int, index: int) -> np.random.SeedSequence:

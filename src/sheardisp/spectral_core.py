@@ -5,26 +5,31 @@ cross section [0, 1]: for lambda > 0 the free-space kernel
 exp(-s|y - q|)/(2s), s = sqrt(lambda), plus one decaying exponential per
 wall, whose two coefficients are all that no-flux and periodic walls
 change; for lambda = 0 a double antiderivative.  Also grid functions with
-one inner-product rule, physicists' Hermite polynomials and Gauss-Hermite
-projections, cosine-basis projections, and the modified Bessel function K0.
+one quadrature rule (Boole's, for integrals, means and inner products),
+Hermite series and their Gauss-Hermite projections (numpy's ``hermval``
+and ``hermvander`` do the Hermite algebra), cosine-basis projections, and
+the modified Bessel function K0.
 
 Convention fixed throughout the package: *physicists'* Hermite
 polynomials, orthogonal under the weight exp(-z^2) with
 
     (1/sqrt(pi)) * integral H_m H_n exp(-z^2) dz = delta_mn * n! * 2^n.
 
-The probabilists' convention would silently rescale every eigenvalue
-derivative built on top of these kernels, so do not swap it.
+This is the convention of ``numpy.polynomial.hermite``.  The
+probabilists' convention (``hermite_e``) would silently rescale every
+eigenvalue derivative built on top of these kernels, so do not swap it.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from numpy.polynomial.hermite import hermgauss, hermval, hermvander
+from scipy.integrate import cumulative_simpson
 from scipy.signal import lfilter
 from scipy.special import k0
 
@@ -41,8 +46,10 @@ class SolvabilityError(ValueError):
 class GridFunction:
     """Real function sampled on a uniform grid over [0, 1], endpoints included.
 
-    ``nodes`` has N+1 points with N even and N >= 8 so that composite
-    Simpson quadrature applies directly.
+    ``nodes`` has N+1 points with N even and N >= 8.  Integrals, means and
+    inner products share one rule: Boole's, the Richardson extrapolation
+    (16 S_h - S_2h)/15 of the h and 2h Simpson sums (exact for quintics),
+    and plain Simpson when 4 does not divide N.
     """
 
     nodes: np.ndarray
@@ -72,7 +79,9 @@ class GridFunction:
         return self.nodes[1] - self.nodes[0]
 
     def integral(self) -> float:
-        return float(simpson(self.values, x=self.nodes))
+        """The grid's one quadrature: numpy's pairwise sum of values times
+        the Boole (or Simpson) weights, the same sum ``cosine_project`` takes."""
+        return float(np.sum(self.values * _inner_weights(self.nodes.size - 1)))
 
     def mean(self) -> float:
         return self.integral()
@@ -82,13 +91,10 @@ class GridFunction:
         return bool(abs(self.mean()) <= 1e-10 * (1.0 + np.max(np.abs(self.values))))
 
     def inner(self, other: "GridFunction") -> float:
-        """Inner product integral u*v over [0, 1] by Boole's rule, the
-        Richardson extrapolation (16 S_h - S_2h)/15 of the h and 2h Simpson
-        sums (exact for quintics); plain Simpson when the interval count is
-        not a multiple of 4."""
+        """Inner product: the integral of u*v over [0, 1]."""
         if other.nodes.size != self.nodes.size:
             raise ValueError("grid mismatch")
-        return float(np.dot(self.values * other.values, _inner_weights(self.nodes.size - 1)))
+        return self.with_values(self.values * other.values).integral()
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """New values on this (already validated) grid; only their shape is checked."""
@@ -214,26 +220,9 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
 # Hermite polynomials and projections
 # ---------------------------------------------------------------------------
 
-def hermite_eval(n: int, z) -> np.ndarray:
-    """Physicists' Hermite H_n(z) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    h_prev = np.ones_like(z)
-    if n == 0:
-        return h_prev
-    h = 2.0 * z
-    for k in range(1, n):
-        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
-    return h
-
-
 def hermite_norm(n: int) -> float:
     """(1/sqrt(pi)) int H_n^2 exp(-z^2) dz = n! 2^n."""
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= 2.0 * k
-    return out
+    return math.factorial(n) * 2.0**n
 
 
 @dataclass
@@ -263,51 +252,37 @@ class HermiteSeries:
 
     def vbar(self, z) -> np.ndarray:
         """Cross-sectionally averaged flow sum_n abar_n H_n(z)."""
-        z = np.asarray(z, dtype=float)
-        abar = self.mean_coefficients()
-        out = np.zeros_like(z)
-        for n, cn in enumerate(abar):
-            if cn != 0.0:
-                out += cn * hermite_eval(n, z)
-        return out
+        return hermval(np.asarray(z, dtype=float), self.mean_coefficients())
 
     def synthesize(self, y, z):
         """Evaluate sum_n a_n(y) H_n(z) (+shift); y and z broadcast, so one
         call serves scalar y with an array of z, or particle positions y
         at one z."""
-        out = self.shift
-        for n, c in enumerate(self.coeffs):
-            out = out + c(y) * hermite_eval(n, z)
-        return out
+        return self.shift + hermval(z, np.array([c(y) for c in self.coeffs]), tensor=False)
 
 
-def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray,
-                    n_quad: int | None = None) -> HermiteSeries:
+def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSeries:
     """Project a flow v(y, xi) onto Hermite modes in the scaled variable.
 
     Computes a_n(y) = (1/(sqrt(pi) n! 2^n)) int v(y, sqrt(gamma) z) H_n(z)
-    exp(-z^2) dz by Gauss-Hermite quadrature and removes the mean of a_0
-    (returned as ``shift``) so downstream eigenvalue series apply.
+    exp(-z^2) dz for n = 0..n_h by (2 n_h + 16)-point Gauss-Hermite
+    quadrature, one ``hermvander`` product for all modes, and removes the
+    mean of a_0 (returned as ``shift``) so downstream eigenvalue series
+    apply.
 
     ``v`` is called as v(y_array, xi_scalar) with xi the physical flow
     argument; the quadrature feeds it xi = sqrt(gamma) * z_node.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if n_quad is None:
-        n_quad = 2 * n_h + 16
-    if n_quad < max(n_h, 2 * n_h):
-        raise ValueError(f"quadrature order {n_quad} too small for {n_h} modes")
-    z_nodes, w = np.polynomial.hermite.hermgauss(n_quad)
+    z_nodes, w = hermgauss(2 * n_h + 16)
     y = np.asarray(grid, dtype=float)
     # samples[i, j] = v(y_j, sqrt(gamma) z_i)
     samples = np.array([np.asarray(v(y, np.sqrt(gamma) * z)) * np.ones_like(y)
                         for z in z_nodes])
-    coeffs = []
-    for n in range(n_h + 1):
-        hn = hermite_eval(n, z_nodes)
-        an = (w * hn) @ samples / (np.sqrt(np.pi) * hermite_norm(n))
-        coeffs.append(GridFunction(y, an))
+    norms = np.sqrt(np.pi) * np.array([hermite_norm(n) for n in range(n_h + 1)])
+    a = (hermvander(z_nodes, n_h) * w[:, None]).T @ samples / norms[:, None]
+    coeffs = [GridFunction(y, an) for an in a]
     shift = coeffs[0].mean()
     coeffs[0] = coeffs[0].centered()
     return HermiteSeries(coeffs, shift=shift)
@@ -318,14 +293,12 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def cosine_project(u: GridFunction, n_max: int) -> np.ndarray:
-    """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y);
-    c_0 is u.mean() and the modes n >= 1 use the GridFunction.inner weights."""
+    """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y),
+    by the GridFunction quadrature row by row, so c_0 is u.mean() bit for bit."""
     y = u.nodes
-    out = np.empty(n_max + 1)
-    out[0] = u.mean()
-    modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(np.arange(1, n_max + 1), y))
-    out[1:] = modes @ (u.values * _inner_weights(y.size - 1))
-    return out
+    modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(np.arange(n_max + 1), y))
+    modes[0] = 1.0
+    return np.sum(modes * (u.values * _inner_weights(y.size - 1)), axis=1)
 
 
 def cosine_eigenvalue(n: int) -> float:

@@ -64,8 +64,14 @@ class TestKappaEff:
         (["kappa-eff"], {"pe": True}, "pe"),
         (["simulate", "--init-s", "0"], None, "init_s"),
         (["simulate", "--init-s", "-1"], None, "init_s"),
+        (["estimate-gamma"], {"paths": 2.5}, "paths"),
+        (["aris"], {"n_modes": 2.5}, "n_modes"),
+        (["aris"], {"seed": 1.5}, "seed"),
+        (["aris", "--seed", "-1"], None, "seed"),
+        (["aris", "--threads", "0"], None, "threads"),
     ], ids=["negative-gamma", "mode-index-0", "string-gamma", "bool-pe",
-            "init-s-0", "negative-init-s"])
+            "init-s-0", "negative-init-s", "float-paths", "float-n-modes",
+            "float-seed", "negative-seed", "zero-threads"])
     def test_invalid_numeric_config(self, argv, doc, field, tmp_path):
         if doc is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))

@@ -371,6 +371,13 @@ def test_bad_t_end_raises(solver, t_end):
 
 
 class TestWindModel:
+    def test_time_outside_path_raises(self):
+        # the drift needs I(t), which a path on [0, 1] does not have at t = 5
+        path = sample_ou(OUParams(1.0), time_grid(1.0, 0.01), seed=3)
+        eig = lambda_white(linear_profile(), 1.0)
+        with pytest.raises(ValueError, match="span"):
+            wind_model_solution(0.0, 5.0, path, eig, ubar=0.5)
+
     def test_centered_peak(self):
         grid = time_grid(4.0, 0.5)
         path = OUPath(times=grid, values=np.zeros_like(grid))

@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,6 +40,22 @@ class TestParamsAndPathValidation:
         p = OUPath(times=grid, integral=np.array([0.0, 0.3, -0.1]))
         assert p.dt == 0.5
         assert p.integral_at(0.75) == pytest.approx(0.1, abs=1e-15)
+
+    def test_integral_at_outside_span(self):
+        p = OUPath(times=time_grid(1.0, 0.5), integral=np.array([0.0, 0.3, -0.1]))
+        assert p.integral_at(1.0 + 1e-12) == -0.1      # roundoff slack
+        assert p.integral_at(-1e-12) == 0.0
+        for t in (-1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="span"):
+                p.integral_at(t)
+
+    @pytest.mark.parametrize("t_end, dt, field", [
+        (math.inf, 0.1, "t_end"), (math.nan, 0.1, "t_end"), (-1.0, 0.1, "t_end"),
+        (0.5, 0.0, "dt"), (1.0, -0.1, "dt"), (1.0, math.nan, "dt"),
+    ])
+    def test_time_grid_rejects(self, t_end, dt, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            time_grid(t_end, dt)
 
     def test_non_uniform_grid_raises(self):
         # the exact transition runs as one fixed-step recurrence

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 
 from sheardisp.spectral_core import (
@@ -14,7 +13,6 @@ from sheardisp.spectral_core import (
     cosine_project,
     cumint,
     helmholtz_inverse,
-    hermite_eval,
     hermite_norm,
     hermite_project,
 )
@@ -204,39 +202,68 @@ def test_eigenfunction_near_switch(bc, k):
     assert np.max(np.abs(b.values * (lam + k**2) - a.values)) < 1e-9
 
 
+def _unit_series(n: int) -> HermiteSeries:
+    """Series whose vbar is H_n, n >= 1 (a_n = 1, every other mode 0)."""
+    nodes = np.linspace(0.0, 1.0, 9)
+    coeffs = [GridFunction(nodes, np.full(9, float(k == n))) for k in range(n + 1)]
+    return HermiteSeries(coeffs)
+
+
 class TestHermite:
+    # the physicists' convention, pinned through HermiteSeries.vbar
     def test_low_order_values(self):
-        assert hermite_eval(1, 0.3) == pytest.approx(0.6, abs=1e-15)
-        assert hermite_eval(2, 1.0) == pytest.approx(2.0, abs=1e-13)   # 4z^2 - 2
+        assert _unit_series(1).vbar(0.3) == pytest.approx(0.6, abs=1e-15)
+        assert _unit_series(2).vbar(1.0) == pytest.approx(2.0, abs=1e-13)   # 4z^2 - 2
+        z = np.linspace(-3.0, 3.0, 13)
+        assert np.max(np.abs(_unit_series(3).vbar(z) - (8 * z**3 - 12 * z))) < 1e-12
+
+    def test_norm_exact(self):
+        # n! 2^n, equal to the product prod_k 2k bit for bit up to n = 24
+        for n in range(25):
+            assert hermite_norm(n) == math.prod(2.0 * k for k in range(1, n + 1))
+        assert hermite_norm(3) == 48.0
 
     def test_norm_identity_by_quadrature(self):
-        # (1/sqrt(pi)) int H_3^2 e^{-z^2} dz = 3! 2^3 = 48
+        # (1/sqrt(pi)) int H_n^2 e^{-z^2} dz = n! 2^n
         z, w = np.polynomial.hermite.hermgauss(40)
-        h3 = hermite_eval(3, z)
-        assert np.sum(w * h3 * h3) / np.sqrt(np.pi) == pytest.approx(48.0, rel=1e-13)
+        for n in range(1, 13):
+            hn = _unit_series(n).vbar(z)
+            assert np.sum(w * hn * hn) / np.sqrt(np.pi) == pytest.approx(hermite_norm(n), rel=1e-12)
 
-    @given(st.integers(min_value=0, max_value=15),
-           st.floats(min_value=-5, max_value=5, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_hermite(self, n, z):
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        ref = np.polynomial.hermite.hermval(z, coeffs)
-        mine = float(hermite_eval(n, z))
-        assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
+    def test_series_matches_mode_loop(self):
+        # reference: the mode-by-mode sum with H_n from the three-term recurrence
+        def h(n, z):
+            prev, cur = np.ones_like(z), 2.0 * z
+            for k in range(1, n):
+                prev, cur = cur, 2.0 * z * cur - 2.0 * k * prev
+            return prev if n == 0 else cur
+
+        nodes = np.linspace(0.0, 1.0, 65)
+        rng = np.random.default_rng(4)
+        coeffs = [GridFunction(nodes, rng.normal() * np.cos((n + 1) * nodes)) for n in range(9)]
+        coeffs[0] = coeffs[0].centered()
+        series = HermiteSeries(coeffs, shift=0.7)
+
+        def loop(y, z):
+            return 0.7 + sum(c(y) * h(n, z) for n, c in enumerate(coeffs))
+
+        z = np.linspace(-3.0, 3.0, 31)
+        ys = rng.uniform(0.0, 1.0, 31)
+        abar = series.mean_coefficients()
+        cases = ((series.vbar(z), sum(abar[n] * h(n, z) for n in range(9))),
+                 (series.synthesize(0.37, z), loop(0.37, z)),              # one y, many z
+                 (series.synthesize(ys, 0.8), loop(ys, np.full(31, 0.8))), # particles at one z
+                 (series.synthesize(ys, z), loop(ys, z)))
+        for got, ref in cases:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_orthogonality_table(self):
         z, w = np.polynomial.hermite.hermgauss(64)
-        for m in range(13):
-            hm = hermite_eval(m, z)
-            for n in range(m, 13):
-                val = float(np.sum(w * hm * hermite_eval(n, z))) / np.sqrt(np.pi)
-                expected = hermite_norm(n) if m == n else 0.0
-                assert abs(val - expected) / hermite_norm(max(m, n)) < 1e-10
-
-    def test_negative_index(self):
-        with pytest.raises(ValueError):
-            hermite_eval(-1, 0.0)
+        vander = np.polynomial.hermite.hermvander(z, 12)
+        gram = (vander.T * w) @ vander / np.sqrt(np.pi)
+        norms = np.array([hermite_norm(n) for n in range(13)])
+        assert np.max(np.abs(gram - np.diag(norms)) / np.maximum.outer(norms, norms)) < 1e-10
 
 
 class TestHermiteProject:
@@ -280,10 +307,6 @@ class TestHermiteProject:
             got = series.synthesize(y, zs)
             assert np.max(np.abs(got - target)) < 1e-10
 
-    def test_quadrature_order_guard(self):
-        with pytest.raises(ValueError):
-            hermite_project(lambda y, xi: y * xi, 1.0, 8, self.nodes, n_quad=4)
-
     def test_series_requires_centered_a0(self):
         bad = GridFunction(self.nodes, np.ones_like(self.nodes))
         with pytest.raises(ValueError):
@@ -309,6 +332,14 @@ class TestCosineProject:
         c = cosine_project(u, 5)
         assert c[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(c[1:])) < 1e-12
+
+    @pytest.mark.parametrize("n", [8, 10, 64, 510, 512, 2048])
+    def test_one_rule(self, n):
+        # c_0, the mean, the integral and <u, 1> are one quadrature, bit for bit
+        u = GridFunction.from_callable(lambda y: np.sin(7 * y) + y**3, n)
+        ones = u.with_values(np.ones(n + 1))
+        assert cosine_project(u, 6)[0] == u.mean()
+        assert u.integral() == u.inner(ones)
 
     def test_parseval_partial_sums(self):
         u = GridFunction.from_callable(lambda y: y**2 - np.sin(2 * y), 512)
