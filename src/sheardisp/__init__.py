@@ -44,7 +44,6 @@ from .eff_diffusivity import (
 )
 from .aris_solver import (
     ArisRecord,
-    CorrelatorSpec,
     EstimatorDomainError,
     solve_aris,
     kappa_from_realization,

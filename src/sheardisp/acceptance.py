@@ -28,7 +28,7 @@ from .eff_diffusivity import (
 )
 from .aris_solver import (
     solve_aris, ou_integral_identity, estimate_gamma, nth_moment_prediction,
-    npoint_correlator, lambda_from_moments, CorrelatorSpec,
+    npoint_correlator, lambda_from_moments,
     exp_weighted_integral, cosine_eigenvalue,
 )
 from .monte_carlo import (
@@ -269,9 +269,9 @@ def criterion_8_moment_machinery() -> CriterionResult:
     checks.append((worst_rec <= 1e-4, f"Laplace reconstruction, worst {worst_rec:.2e}<=1e-4"))
     worst_rt = 0.0
     for l2, l11 in ((3.0, 1.0), (2.6, 0.0), (5.0, 2.2)):
-        eig = EigenData.from_lambdas(l2, l11, 1.0, 1.0)
-        m1 = nth_moment_prediction(CorrelatorSpec(1, [0.0], 1.0, eig, 10.0))
-        m2 = nth_moment_prediction(CorrelatorSpec(2, [0.0, 0.0], 1.0, eig, 10.0))
+        eig = EigenData(l2, l11, 1.0)
+        m1 = nth_moment_prediction(1, 1.0, eig, 10.0)
+        m2 = nth_moment_prediction(2, 1.0, eig, 10.0)
         inv = lambda_from_moments(m1, m2, 1.0, 10.0)
         worst_rt = max(worst_rt, abs(inv.lambda2 - l2), abs(inv.lambda11 - l11))
     checks.append((worst_rt <= 1e-10, f"moment round-trip, worst {worst_rt:.2e}<=1e-10"))
@@ -348,13 +348,12 @@ def criterion_10_kernels() -> CriterionResult:
                 worst11 = max(worst11, abs(r.value - r.integral) / r.value)
     checks.append((worst11 <= 1e-6, f"lambda11 series-vs-integral, worst rel {worst11:.2e}<=1e-6"))
 
-    eig = EigenData.from_lambdas(3.0, 1.0, 1.0, 1.0)
+    eig = EigenData(3.0, 1.0, 1.0)
     rng = np.random.default_rng(12)
     worst_sm = 0.0
     for n in range(1, 7):
         x = rng.normal(size=n)
-        spec = CorrelatorSpec(n, x, 1.3, eig, 7.0)
-        mine = npoint_correlator(spec)
+        mine = npoint_correlator(x, 1.3, eig, 7.0)
         lam1 = (eig.lambda2 - eig.lambda11) * np.eye(n) + eig.lambda11 * np.ones((n, n))
         dense = (1.3**n * math.exp(-0.5 * float(x @ np.linalg.solve(lam1, x)) / 7.0)
                  / ((2 * math.pi * 7.0) ** (n / 2) * math.sqrt(np.linalg.det(lam1))))

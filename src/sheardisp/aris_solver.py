@@ -38,47 +38,36 @@ from .eff_diffusivity import EigenData
 from .invariant_measure import moment_function
 
 
+MIN_WINDOW = 10.0   # diffusive times: the shortest window kappa_from_realization fits
+
+
 class EstimatorDomainError(ValueError):
     """Finite-sample statistic fell outside the estimator's domain."""
 
 
 @dataclass
 class ArisRecord:
-    """Time series of streamwise moments along one flow realization."""
+    """Streamwise moments T1bar and T2bar along one flow realization, from
+    the moment hierarchy (``solve_aris``) or from particles
+    (``simulate_forward``); the kappa estimate is derived from them."""
 
     times: np.ndarray
     t1bar: np.ndarray
     t2bar: np.ndarray
-    kappa_estimate: np.ndarray   # (T2bar - T1bar^2) / (2t); nan at t = 0
 
     def centered_second(self) -> np.ndarray:
         return self.t2bar - self.t1bar**2
+
+    @property
+    def kappa_estimate(self) -> np.ndarray:
+        """(T2bar - T1bar^2) / (2t); nan at t = 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.times > 0, self.centered_second() / (2.0 * self.times), np.nan)
 
     def to_csv(self, path) -> None:
         data = np.column_stack([self.times, self.t1bar, self.t2bar, self.kappa_estimate])
         np.savetxt(path, data, delimiter=",",
                    header="t,t1bar,t2bar,kappa_estimate", comments="")
-
-
-@dataclass(frozen=True)
-class CorrelatorSpec:
-    """Inputs of the long-time N-point correlator prediction."""
-
-    N: int
-    x: np.ndarray
-    mass: float
-    eigen: EigenData
-    t: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("correlator order N must be >= 1")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if x.size != self.N:
-            raise ValueError(f"need {self.N} evaluation points, got {x.size}")
-        object.__setattr__(self, "x", x)
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +98,12 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
         if coeffs[n] != 0.0:
             centered += 2.0 * pe**2 * coeffs[n] ** 2 * exp_weighted_integral(
                 path, cosine_eigenvalue(n))
-    t2 = centered + t1**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(path.times > 0, centered / (2.0 * path.times), np.nan)
-    return ArisRecord(path.times, t1, t2, kappa)
+    return ArisRecord(path.times, t1, centered + t1**2)
 
 
 def kappa_from_realization(record: ArisRecord, t_window: Optional[tuple[float, float]] = None) -> float:
-    """Ergodic single-realization estimate of kappa_eff.
+    """Ergodic single-realization estimate of kappa_eff from either route's
+    record (``solve_aris`` or ``simulate_forward``).
 
     Least-squares slope of (T2bar - T1bar^2)/2 against t over the window
     (default: the trailing half of the record), robust to the O(1)
@@ -126,8 +113,8 @@ def kappa_from_realization(record: ArisRecord, t_window: Optional[tuple[float, f
     if t_window is None:
         t_window = (t[-1] / 2.0, t[-1])
     lo, hi = t_window
-    if hi - lo < 10.0:
-        raise ValueError(f"window [{lo}, {hi}] shorter than 10 diffusive times")
+    if hi - lo < MIN_WINDOW:
+        raise ValueError(f"window [{lo}, {hi}] shorter than {MIN_WINDOW:g} diffusive times")
     sel = (t >= lo) & (t <= hi)
     if np.count_nonzero(sel) < 2:
         raise ValueError("window contains fewer than two record times")
@@ -178,23 +165,22 @@ def estimate_gamma(path: OUPath, n: int = 1) -> float:
 # N-point correlator predictions
 # ---------------------------------------------------------------------------
 
-def nth_moment_prediction(spec: CorrelatorSpec) -> float:
-    """Long-time N-th one-point moment at x = 0:
+def nth_moment_prediction(n: int, mass: float, eig: EigenData, t: float) -> float:
+    """Long-time N-th one-point moment at x = 0, for N = n:
 
     <T^N> = mass^N (4 pi t kappa_eff)^{-N/2} (1 + N beta)^{-1/2},
     beta = lambda11 / (lambda2 - lambda11).
     """
-    eig = spec.eigen
-    gap = eig.lambda2 - eig.lambda11
-    if gap <= 0:
+    if n < 1 or not t > 0:
+        raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
+    if eig.lambda2 - eig.lambda11 <= 0:
         raise ValueError("degenerate eigenvalue gap: lambda2 must exceed lambda11")
-    n = spec.N
-    prefactor = (4.0 * math.pi * spec.t * eig.kappa_eff) ** (-0.5 * n)
-    return spec.mass**n * prefactor * moment_function(n, eig.beta)
+    prefactor = (4.0 * math.pi * t * eig.kappa_eff) ** (-0.5 * n)
+    return mass**n * prefactor * moment_function(n, eig.beta)
 
 
-def npoint_correlator(spec: CorrelatorSpec) -> float:
-    """Gaussian N-point correlator
+def npoint_correlator(x, mass: float, eig: EigenData, t: float) -> float:
+    """Gaussian N-point correlator at the N = len(x) points x,
 
         mass^N exp(-x Lam1^{-1} x^T / (2t)) / ((2 pi t)^{N/2} sqrt(det Lam1))
 
@@ -202,19 +188,20 @@ def npoint_correlator(spec: CorrelatorSpec) -> float:
     quadratic form and determinant use Sherman-Morrison and the matrix
     determinant lemma, O(N) instead of a dense solve.
     """
-    eig = spec.eigen
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
+    if n < 1 or not t > 0:
+        raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
     d = eig.lambda2 - eig.lambda11
     c = eig.lambda11
-    n = spec.N
     denom_sm = eig.lambda2 + (n - 1) * c
     if d <= 0 or denom_sm <= 0:
         raise ValueError("Lambda1 is singular or indefinite")
-    x = spec.x
     sx = float(np.sum(x))
     quad = (float(np.dot(x, x)) - c * sx * sx / denom_sm) / d
     det = d ** (n - 1) * denom_sm
-    return spec.mass**n * math.exp(-quad / (2.0 * spec.t)) / (
-        (2.0 * math.pi * spec.t) ** (0.5 * n) * math.sqrt(det))
+    return mass**n * math.exp(-quad / (2.0 * t)) / (
+        (2.0 * math.pi * t) ** (0.5 * n) * math.sqrt(det))
 
 
 class MomentInversion(NamedTuple):

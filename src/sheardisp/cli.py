@@ -38,7 +38,7 @@ from .eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, taylor_steady,
     linear_profile, cosine_profile,
 )
-from .aris_solver import solve_aris, kappa_from_realization, estimate_gamma
+from .aris_solver import MIN_WINDOW, solve_aris, kappa_from_realization, estimate_gamma
 from .monte_carlo import SimConfig, InitialData, simulate_forward, ensemble_pdf
 from .invariant_measure import (
     pdf_deterministic, cdf_deterministic, pdf_random_wave, cdf_random_wave,
@@ -63,22 +63,26 @@ def _load_profile(spec: str, n: int = 512) -> GridFunction:
     return GridFunction(grid, np.interp(grid, y, u))
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Document fields first, explicit command-line flags override.
+_NOT_FIELDS = ("config", "func", "command", "subparser")
 
-    A flag counts as explicit when it differs from the subcommand default,
-    so re-passing a default value cannot override a document field.
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> dict:
+    """Document fields first, command-line flags override.
+
+    The document's fields become the subcommand's defaults and the command
+    line is parsed again, so a flag overrides its field even when given at
+    its default value.  argparse would convert a string default such as
+    "2" through the flag's type, so the document's types are checked first.
     """
-    skip = ("config", "func", "command")
-    defaults = vars(parser.parse_args([args.command]))
-    merged = json.loads(Path(args.config).read_text()) if args.config else {}
-    unknown = sorted(k for k in merged if k in skip or k not in defaults)
-    if unknown:
-        raise SystemExit(f"config fields not read by {args.command}: {', '.join(unknown)}")
-    for key, value in vars(args).items():
-        if key not in skip and (key not in merged or value != defaults[key]):
-            merged[key] = value
-    return merged
+    if args.config:
+        doc = json.loads(Path(args.config).read_text())
+        unknown = sorted(k for k in doc if k in _NOT_FIELDS or k not in vars(args))
+        if unknown:
+            raise SystemExit(f"config fields not read by {args.command}: {', '.join(unknown)}")
+        _validate_numeric(doc)
+        args.subparser.set_defaults(**doc)
+        args = parser.parse_args(argv)
+    return {k: v for k, v in vars(args).items() if k not in _NOT_FIELDS}
 
 
 # count fields take an int only; a float such as 2.5 from a --config
@@ -171,6 +175,10 @@ def cmd_kappa_eff(cfg: dict) -> int:
 
 
 def cmd_aris(cfg: dict) -> int:
+    # checked before any output: the kappa_window_slope summary needs its window
+    if cfg["t_end"] < 2.0 * MIN_WINDOW:
+        raise SystemExit(f"config field t_end={cfg['t_end']!r} below {2.0 * MIN_WINDOW:g}, "
+                         f"twice the {MIN_WINDOW:g}-time window of the kappa slope estimate")
     u = _load_profile(cfg["flow"])
     out = _outdir(cfg)
     grid = time_grid(cfg["t_end"], cfg["dt"])
@@ -224,7 +232,7 @@ def cmd_simulate(cfg: dict) -> int:
         return {
             "realization": i,
             "kappa_estimate_final": float(res.kappa_estimate[-1]),
-            "kappa_standard_error": res.kappa_standard_error(),
+            "kappa_standard_error": res.kappa_se,
             "t1bar_final": float(res.t1bar[-1]),
             "t2bar_final": float(res.t2bar[-1]),
         }
@@ -319,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *flags):
         p.add_argument("--config", help="JSON config document; flags override fields")
+        p.set_defaults(subparser=p)
         for flag in flags:
             p.add_argument(f"--{flag}", **shared[flag])
 
@@ -385,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _merge_config(args, parser)
+    cfg = _merge_config(args, parser, argv)
     _validate_numeric(cfg)
     return args.func(cfg)
 

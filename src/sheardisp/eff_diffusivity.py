@@ -94,8 +94,6 @@ class EigenData:
 
     lambda2: float
     lambda11: float
-    kappa_eff: float
-    gamma: float
     pe: float
 
     _RTOL = 1e-8
@@ -108,12 +106,11 @@ class EigenData:
             raise ValueError(
                 f"energy inequality violated: lambda2-2={self.lambda2 - 2.0} "
                 f"< lambda11={self.lambda11}")
-        if abs(self.kappa_eff - 0.5 * (self.lambda2 - self.lambda11)) > slack:
-            raise ValueError("kappa_eff must equal (lambda2 - lambda11)/2")
 
-    @classmethod
-    def from_lambdas(cls, lambda2: float, lambda11: float, gamma: float, pe: float) -> "EigenData":
-        return cls(lambda2, lambda11, 0.5 * (lambda2 - lambda11), gamma, pe)
+    @property
+    def kappa_eff(self) -> float:
+        """(lambda2 - lambda11) / 2."""
+        return 0.5 * (self.lambda2 - self.lambda11)
 
     @property
     def beta(self) -> float:
@@ -242,7 +239,7 @@ def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float,
     """Assemble EigenData for a general Hermite-series flow."""
     l2 = lambda2_general(flow, gamma, pe, n_h)
     l11 = lambda11_general(flow, gamma, pe, n_h)
-    return EigenData.from_lambdas(l2.value, l11.value, gamma, pe)
+    return EigenData(l2.value, l11.value, pe)
 
 
 def _require_general(flow: FlowSpec) -> HermiteSeries:
@@ -265,7 +262,7 @@ def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
     a_1 = u.with_values(0.5 * math.sqrt(gamma) * u.values)
     lambda2 = 2.0 + _lambda2_term(a_1, 1, gamma, pe, bc)
     lambda11 = pe**2 * u.mean() ** 2
-    return EigenData.from_lambdas(lambda2, lambda11, gamma, pe)
+    return EigenData(lambda2, lambda11, pe)
 
 
 def lambda_white(u: GridFunction, pe: float) -> EigenData:
@@ -273,7 +270,7 @@ def lambda_white(u: GridFunction, pe: float) -> EigenData:
     gamma (gamma - Lap)^{-1} u -> u: lambda2 = 2 + Pe^2 <u, u>, lambda11 = Pe^2 (int u)^2."""
     lambda2 = 2.0 + pe**2 * u.inner(u)
     lambda11 = pe**2 * u.mean() ** 2
-    return EigenData.from_lambdas(lambda2, lambda11, math.inf, pe)
+    return EigenData(lambda2, lambda11, pe)
 
 
 def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .ou_process import OUPath, _step_count, realization_seed
 from .eff_diffusivity import EigenData, FlowSpec
+from .aris_solver import ArisRecord
 
 # the forward moment history keeps every (n_steps // _N_RECORD)-th step and t_end
 _N_RECORD = 50
@@ -119,27 +120,16 @@ class InitialData:
 
 
 @dataclass
-class ForwardResult:
-    """Streamwise moment history and final-state summaries."""
+class ForwardResult(ArisRecord):
+    """The particle route's Aris record, plus what only particles give:
+    ``kappa_se``, the MC standard error of the final kappa estimate (the
+    fourth-moment standard error of the sample variance of the conditional
+    means m = x0 + Pe D, divided by 2t; the 2t of x noise is exact), and
+    optionally the final positions."""
 
-    times: np.ndarray
-    t1bar: np.ndarray
-    t2bar: np.ndarray
-    var_x: np.ndarray
-    kappa_estimate: np.ndarray
-    y_bin_edges: np.ndarray
-    x_mean_by_bin: np.ndarray
-    x_var_by_bin: np.ndarray
-    n_particles: int
+    kappa_se: float
     final_x: Optional[np.ndarray] = None
     final_y: Optional[np.ndarray] = None
-    _kappa_se: float = field(default=math.nan, repr=False)
-
-    def kappa_standard_error(self) -> float:
-        """MC standard error of the final kappa estimate: the fourth-moment
-        standard error of the sample variance of the conditional means
-        m = x0 + Pe D, divided by 2t (the 2t of x noise is exact)."""
-        return self._kappa_se
 
 
 def _fold(y: np.ndarray) -> np.ndarray:
@@ -203,17 +193,16 @@ def _xi_midpoints(path: Optional[OUPath], n_steps: int) -> np.ndarray:
 
 def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: float,
                      cfg: SimConfig, path: Optional[OUPath] = None,
-                     n_y_bins: int = 10, keep_positions: bool = False,
-                     realization: int = 0) -> ForwardResult:
+                     keep_positions: bool = False, realization: int = 0) -> ForwardResult:
     """Forward particle ensemble for one flow realization.
 
     ``path`` supplies the shared xi realization (required unless the flow
     is steady); randomness beyond xi is the per-particle Brownian noise,
     seeded from (cfg.seed, realization).  Particles walk between the walls
-    the flow declares (``flow.bc``).  Moments are exact given the
-    y-paths: with m = x0 + Pe D, <x> = <m> and <x^2> = <m^2> + 2t, and the
-    y-binned variance is that of m plus 2t.  ``final_x`` is drawn from
-    N(m, 2t), which has the law of an Euler scheme that also steps x.
+    the flow declares (``flow.bc``).  The returned Aris record is exact
+    given the y-paths: with m = x0 + Pe D, T1bar = <m> and
+    T2bar = <m^2> + 2t.  ``final_x`` is drawn from N(m, 2t), which has the
+    law of an Euler scheme that also steps x.
     """
     if flow.kind == "steady":
         path = None
@@ -222,8 +211,7 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     dt = cfg.dt
     if dt * math.pi**2 > 0.25:
         warnings.warn("dt does not resolve the slowest cross-channel mode; "
-                      "y-resolved moment post-processing will be biased",
-                      RuntimeWarning)
+                      "the moment history will be biased", RuntimeWarning)
     n_steps = _step_indices(path, t_end, dt)
     rng = np.random.default_rng(realization_seed(cfg.seed, realization))
     x0, y = init.sample_particles(cfg.n_particles, rng)
@@ -238,40 +226,17 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
             rec_m1.append(float(np.mean(m)))
             rec_m2.append(float(np.mean(m * m)) + 2.0 * k * dt)
 
-    times = np.array(rec_t)
-    t1 = np.array(rec_m1)
-    t2 = np.array(rec_m2)
-    var = t2 - t1**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(times > 0, var / (2.0 * times), np.nan)
-
-    t = times[-1]
+    t = rec_t[-1]
     c = m - np.mean(m)
     var_m = float(np.mean(c * c))
     se_var_m = math.sqrt(max(float(np.mean(c**4)) - var_m**2, 0.0) / cfg.n_particles)
     kappa_se = se_var_m / (2.0 * t) if t > 0 else math.nan
 
-    edges = np.linspace(0.0, 1.0, n_y_bins + 1)
-    which = np.clip(np.digitize(y, edges) - 1, 0, n_y_bins - 1)
-    mean_by = np.full(n_y_bins, np.nan)
-    var_by = np.full(n_y_bins, np.nan)
-    for b in range(n_y_bins):
-        sel = which == b
-        if np.any(sel):
-            mean_by[b] = float(np.mean(m[sel]))
-            var_by[b] = float(np.var(m[sel])) + 2.0 * t
-
     final_x = None
     if keep_positions:
         final_x = m + math.sqrt(2.0 * t) * rng.standard_normal(cfg.n_particles)
-    return ForwardResult(
-        times=times, t1bar=t1, t2bar=t2, var_x=var, kappa_estimate=kappa,
-        y_bin_edges=edges, x_mean_by_bin=mean_by, x_var_by_bin=var_by,
-        n_particles=cfg.n_particles,
-        final_x=final_x,
-        final_y=y if keep_positions else None,
-        _kappa_se=kappa_se,
-    )
+    return ForwardResult(np.array(rec_t), np.array(rec_m1), np.array(rec_m2), kappa_se,
+                         final_x, y if keep_positions else None)
 
 
 def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,

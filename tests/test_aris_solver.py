@@ -11,7 +11,6 @@ from sheardisp.eff_diffusivity import (
 )
 from sheardisp.aris_solver import (
     ArisRecord,
-    CorrelatorSpec,
     EstimatorDomainError,
     estimate_gamma,
     exp_weighted_integral,
@@ -170,61 +169,59 @@ class TestGammaEstimator:
             estimate_gamma(path, 1)
 
 
-EIG = EigenData.from_lambdas(3.0, 1.0, 1.0, 1.0)
+EIG = EigenData(3.0, 1.0, 1.0)
 
 
 class TestMomentPredictions:
     def test_single_point_reduction(self):
         # N = 1 is a Gaussian with variance lambda2 t
         t = 4.0
-        spec = CorrelatorSpec(1, [0.7], mass=1.0, eigen=EIG, t=t)
         target = math.exp(-0.7**2 / (2 * EIG.lambda2 * t)) / math.sqrt(2 * math.pi * t * EIG.lambda2)
-        assert npoint_correlator(spec) == pytest.approx(target, rel=1e-12)
+        assert npoint_correlator([0.7], 1.0, EIG, t) == pytest.approx(target, rel=1e-12)
 
     def test_independent_when_lambda11_zero(self):
-        eig = EigenData.from_lambdas(3.0, 0.0, 1.0, 1.0)
+        eig = EigenData(3.0, 0.0, 1.0)
         x = np.array([0.3, -0.2, 1.0])
-        spec = CorrelatorSpec(3, x, mass=1.0, eigen=eig, t=5.0)
-        product = np.prod([npoint_correlator(CorrelatorSpec(1, [xi], 1.0, eig, 5.0))
-                           for xi in x])
-        assert npoint_correlator(spec) == pytest.approx(product, rel=1e-12)
+        product = np.prod([npoint_correlator([xi], 1.0, eig, 5.0) for xi in x])
+        assert npoint_correlator(x, 1.0, eig, 5.0) == pytest.approx(product, rel=1e-12)
 
     def test_equal_points_match_moment(self):
-        spec0 = CorrelatorSpec(3, np.zeros(3), mass=1.2, eigen=EIG, t=9.0)
-        assert npoint_correlator(spec0) == pytest.approx(nth_moment_prediction(spec0), rel=1e-12)
+        assert npoint_correlator(np.zeros(3), 1.2, EIG, 9.0) == pytest.approx(
+            nth_moment_prediction(3, 1.2, EIG, 9.0), rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=40, deadline=None)
     def test_sherman_morrison_matches_dense(self, n, draw):
         rng = np.random.default_rng(draw)
         x = rng.normal(size=n)
-        spec = CorrelatorSpec(n, x, mass=1.3, eigen=EIG, t=7.0)
         lam1 = (EIG.lambda2 - EIG.lambda11) * np.eye(n) + EIG.lambda11 * np.ones((n, n))
         dense = (1.3**n * math.exp(-0.5 * float(x @ np.linalg.solve(lam1, x)) / 7.0)
                  / ((2 * math.pi * 7.0) ** (n / 2) * math.sqrt(np.linalg.det(lam1))))
-        assert npoint_correlator(spec) == pytest.approx(dense, rel=1e-10)
+        assert npoint_correlator(x, 1.3, EIG, 7.0) == pytest.approx(dense, rel=1e-10)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            CorrelatorSpec(0, [], 1.0, EIG, 1.0)
+            npoint_correlator([], 1.0, EIG, 1.0)
         with pytest.raises(ValueError):
-            CorrelatorSpec(2, [0.0], 1.0, EIG, 1.0)     # wrong point count
+            nth_moment_prediction(0, 1.0, EIG, 1.0)
         with pytest.raises(ValueError):
-            CorrelatorSpec(1, [0.0], 1.0, EIG, 0.0)     # t must be positive
+            npoint_correlator([0.0], 1.0, EIG, 0.0)     # t must be positive
+        with pytest.raises(ValueError):
+            nth_moment_prediction(1, 1.0, EIG, 0.0)
 
 
 class TestLambdaFromMoments:
     def test_round_trip(self):
-        m1 = nth_moment_prediction(CorrelatorSpec(1, [0.0], 1.0, EIG, 10.0))
-        m2 = nth_moment_prediction(CorrelatorSpec(2, [0.0, 0.0], 1.0, EIG, 10.0))
+        m1 = nth_moment_prediction(1, 1.0, EIG, 10.0)
+        m2 = nth_moment_prediction(2, 1.0, EIG, 10.0)
         inv = lambda_from_moments(m1, m2, 1.0, 10.0)
         assert abs(inv.lambda2 - 3.0) < 1e-10
         assert abs(inv.lambda11 - 1.0) < 1e-10
 
     def test_degenerate_lambda11(self):
-        eig = EigenData.from_lambdas(2.6, 0.0, 1.0, 1.0)
-        m1 = nth_moment_prediction(CorrelatorSpec(1, [0.0], 1.0, eig, 4.0))
-        m2 = nth_moment_prediction(CorrelatorSpec(2, [0.0, 0.0], 1.0, eig, 4.0))
+        eig = EigenData(2.6, 0.0, 1.0)
+        m1 = nth_moment_prediction(1, 1.0, eig, 4.0)
+        m2 = nth_moment_prediction(2, 1.0, eig, 4.0)
         inv = lambda_from_moments(m1, m2, 1.0, 4.0)
         assert inv.lambda11 == 0.0
         assert abs(inv.lambda2 - 2.6) < 1e-10

@@ -69,9 +69,10 @@ class TestKappaEff:
         (["aris"], {"seed": 1.5}, "seed"),
         (["aris", "--seed", "-1"], None, "seed"),
         (["aris", "--threads", "0"], None, "threads"),
+        (["aris", "--t-end", "10", "--dt", "0.01"], None, "t_end"),
     ], ids=["negative-gamma", "mode-index-0", "string-gamma", "bool-pe",
             "init-s-0", "negative-init-s", "float-paths", "float-n-modes",
-            "float-seed", "negative-seed", "zero-threads"])
+            "float-seed", "negative-seed", "zero-threads", "aris-short-t-end"])
     def test_invalid_numeric_config(self, argv, doc, field, tmp_path):
         if doc is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -189,8 +190,12 @@ class TestConfigDocument:
         _, out_doc = run_cli(["kappa-eff", "--config", str(cfg_path)], capsys)
         _, out_override = run_cli(["kappa-eff", "--config", str(cfg_path),
                                    "--gamma", "5"], capsys)
+        # a flag at its default value overrides the document too
+        _, out_default = run_cli(["kappa-eff", "--config", str(cfg_path),
+                                  "--gamma", "1"], capsys)
         assert json.loads(out_doc)["gamma"] == 2.0
         assert json.loads(out_override)["gamma"] == 5.0
+        assert json.loads(out_default)["gamma"] == 1.0
 
     def test_unread_field_is_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

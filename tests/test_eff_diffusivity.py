@@ -35,12 +35,10 @@ def dimensional_linear_kappa(gamma, pe):
 class TestEigenData:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EigenData.from_lambdas(2.5, 1.0, 1.0, 1.0)   # lambda2 - 2 < lambda11
+            EigenData(2.5, 1.0, 1.0)   # lambda2 - 2 < lambda11
         with pytest.raises(ValueError):
-            EigenData.from_lambdas(3.0, -0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            EigenData(3.0, 0.5, 0.9, 1.0, 1.0)           # kappa inconsistent
-        eig = EigenData.from_lambdas(3.0, 0.5, 1.0, 1.0)
+            EigenData(3.0, -0.5, 1.0)
+        eig = EigenData(3.0, 0.5, 1.0)
         assert eig.kappa_eff == pytest.approx(1.25)
         assert eig.beta == pytest.approx(0.2)
 

@@ -12,6 +12,7 @@ from sheardisp.spectral_core import GridFunction
 from sheardisp.eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, linear_profile, taylor_steady,
 )
+from sheardisp.aris_solver import ArisRecord, kappa_from_realization
 from sheardisp.monte_carlo import (
     InitialData,
     SimConfig,
@@ -134,7 +135,7 @@ class TestForwardSimulation:
         zero = GridFunction.from_callable(lambda y: 0.0 * y, 64)
         res = simulate_forward(FlowSpec.steady(zero), 1.0, InitialData.delta_line(),
                                10.0, cfg, keep_positions=True)
-        var = res.var_x[-1]
+        var = res.centered_second()[-1]
         se = 2 * 10.0 * math.sqrt(2 / cfg.n_particles)
         assert abs(var - 20.0) < 3 * se
         assert abs(res.t1bar[-1]) < 4 * math.sqrt(20.0 / cfg.n_particles)
@@ -186,7 +187,7 @@ class TestForwardSimulation:
         se_mean = math.sqrt(var_wind / cfg.n_particles)
         assert abs(res.t1bar[-1] - drift) < 4 * se_mean + 0.05 * abs(drift)
         se_var = var_wind * math.sqrt(2 / cfg.n_particles)
-        assert abs(res.var_x[-1] - var_wind) < 4 * se_var + 0.05 * var_wind
+        assert abs(res.centered_second()[-1] - var_wind) < 4 * se_var + 0.05 * var_wind
 
     def test_time_step_refinement(self):
         # halving dt moves the kappa estimate by less than the MC error bar
@@ -196,7 +197,7 @@ class TestForwardSimulation:
             cfg = SimConfig(dt=dt, n_particles=20_000, seed=14, pe=2.0)
             res = simulate_forward(FlowSpec.steady(v), 1.0, InitialData.delta_line(),
                                    10.0, cfg)
-            ks.append((res.kappa_estimate[-1], res.kappa_standard_error()))
+            ks.append((res.kappa_estimate[-1], res.kappa_se))
         assert abs(ks[0][0] - ks[1][0]) < 2.5 * math.hypot(ks[0][1], ks[1][1])
 
     def test_periodic_bc_runs(self):
@@ -228,13 +229,15 @@ class TestForwardSimulation:
         assert fold_calls
         assert res.final_y.min() >= 0.0 and res.final_y.max() <= 1.0
 
-    def test_y_binned_moments_shape(self):
+    def test_pure_diffusion_is_aris_record(self):
+        # Pe = 0 from a delta line: T1bar = 0 and T2bar = 2t exactly, so the
+        # particle record feeds the same slope estimator as solve_aris
         zero = GridFunction.from_callable(lambda y: 0.0 * y, 64)
-        cfg = SimConfig(dt=0.01, n_particles=5_000, seed=2, pe=0.0)
+        cfg = SimConfig(dt=0.02, n_particles=10, seed=2, pe=0.0)
         res = simulate_forward(FlowSpec.steady(zero), 1.0, InitialData.delta_line(),
-                               1.0, cfg, n_y_bins=8)
-        assert res.x_mean_by_bin.shape == (8,)
-        assert np.all(np.isfinite(res.x_var_by_bin))
+                               20.0, cfg)
+        assert isinstance(res, ArisRecord)
+        assert kappa_from_realization(res) == pytest.approx(1.0, abs=1e-12)
 
     def test_path_grid_mismatch(self):
         u = linear_profile()
@@ -423,7 +426,7 @@ class TestRandomWave:
         # <T^2(0, t)> from wind-model fields on white-noise paths matches the
         # closed N = 2 moment prediction
         from sheardisp.ou_process import sample_brownian_scaled, time_grid
-        from sheardisp.aris_solver import CorrelatorSpec, nth_moment_prediction
+        from sheardisp.aris_solver import nth_moment_prediction
         u = GridFunction.from_callable(lambda y: y + 0.5, 512)
         eig = lambda_white(u, 1.0)
         grid = time_grid(1.0, 0.01)
@@ -432,7 +435,7 @@ class TestRandomWave:
                                       sample_brownian_scaled(grid, 1.0, seed=23, realization=i),
                                       eig, u.mean()))
             for i in range(30_000)])
-        predicted = nth_moment_prediction(CorrelatorSpec(2, [0.0, 0.0], 1.0, eig, 1.0))
+        predicted = nth_moment_prediction(2, 1.0, eig, 1.0)
         assert abs(np.mean(vals**2) / predicted - 1.0) < 0.03
 
     def test_zero_mean_flow_gaussian_marginal(self):
