@@ -10,7 +10,6 @@ from .ou_process import (
     OUParams,
     OUPath,
     sample_ou,
-    sample_ensemble,
     sample_brownian_scaled,
     integral_variance,
     realization_seed,
@@ -38,7 +37,6 @@ from .eff_diffusivity import (
     taylor_steady,
     small_gamma_asymptotic,
     kappa_eff_dimensional_linear,
-    zero_diffusivity_kappa,
     linear_profile,
     cosine_profile,
 )

@@ -204,7 +204,7 @@ def criterion_6_invariant_measure() -> CriterionResult:
     est = ensemble_pdf(vals, bins=100)
     v_t = float(integral_variance(gamma, t_end))
     beta2 = beta_finite_time(BetaSpec(pe, ubar, eig.kappa_eff, t=t_end, s=s_init, v_t=v_t))
-    beta1 = BetaSpec(pe, ubar, eig.kappa_eff).beta_leading
+    beta1 = eig.beta
     ks2 = est.ks_distance(lambda z: cdf_deterministic(z, beta2))
     ks1 = est.ks_distance(lambda z: cdf_deterministic(z, beta1))
     checks = [

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,18 +101,16 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
     return ArisRecord(path.times, t1, centered + t1**2)
 
 
-def kappa_from_realization(record: ArisRecord, t_window: Optional[tuple[float, float]] = None) -> float:
+def kappa_from_realization(record: ArisRecord) -> float:
     """Ergodic single-realization estimate of kappa_eff from either route's
     record (``solve_aris`` or ``simulate_forward``).
 
-    Least-squares slope of (T2bar - T1bar^2)/2 against t over the window
-    (default: the trailing half of the record), robust to the O(1)
-    additive offset in the centered moment.
+    Least-squares slope of (T2bar - T1bar^2)/2 against t over the trailing
+    half of the record, robust to the O(1) additive offset in the centered
+    moment.
     """
     t = record.times
-    if t_window is None:
-        t_window = (t[-1] / 2.0, t[-1])
-    lo, hi = t_window
+    lo, hi = t[-1] / 2.0, t[-1]
     if hi - lo < MIN_WINDOW:
         raise ValueError(f"window [{lo}, {hi}] shorter than {MIN_WINDOW:g} diffusive times")
     sel = (t >= lo) & (t <= hi)

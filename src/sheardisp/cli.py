@@ -32,35 +32,33 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ou_process import OUParams, sample_ou, time_grid, integral_variance
+from .ou_process import OUParams, sample_ou, time_grid
 from .spectral_core import GridFunction
 from .eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, taylor_steady,
     linear_profile, cosine_profile,
 )
 from .aris_solver import MIN_WINDOW, solve_aris, kappa_from_realization, estimate_gamma
-from .monte_carlo import SimConfig, InitialData, simulate_forward, ensemble_pdf
+from .monte_carlo import SimConfig, InitialData, simulate_forward
 from .invariant_measure import (
     pdf_deterministic, cdf_deterministic, pdf_random_wave, cdf_random_wave,
 )
 from . import acceptance
 
 
-def _load_profile(spec: str, n: int = 512) -> GridFunction:
-    """Flow presets: 'linear', 'cosine', 'cosine:k', or a CSV of (y, u)."""
+def _load_profile(spec: str) -> GridFunction:
+    """Flow presets 'linear', 'cosine', 'cosine:k', or a CSV of (y, u); 512 intervals."""
     if spec == "linear":
-        return linear_profile(n)
+        return linear_profile()
     if spec == "cosine":
-        return cosine_profile(1, n)
+        return cosine_profile(1)
     if spec.startswith("cosine:"):
-        return cosine_profile(int(spec.split(":", 1)[1]), n)
+        return cosine_profile(int(spec.split(":", 1)[1]))
     path = Path(spec)
     if not path.exists():
         raise SystemExit(f"flow spec {spec!r}: not a preset and file does not exist")
     data = np.loadtxt(path, delimiter=",")
-    y, u = data[:, 0], data[:, 1]
-    grid = np.linspace(0.0, 1.0, n + 1)
-    return GridFunction(grid, np.interp(grid, y, u))
+    return GridFunction.from_callable(lambda grid: np.interp(grid, data[:, 0], data[:, 1]))
 
 
 _NOT_FIELDS = ("config", "func", "command", "subparser")
@@ -71,30 +69,44 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
 
     The document's fields become the subcommand's defaults and the command
     line is parsed again, so a flag overrides its field even when given at
-    its default value.  argparse would convert a string default such as
-    "2" through the flag's type, so the document's types are checked first.
+    its default value.  argparse neither converts nor checks a non-string
+    default, and would convert a string default such as "2" through the
+    flag's type, so each field's kind is checked against its flag first.
     """
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         unknown = sorted(k for k in doc if k in _NOT_FIELDS or k not in vars(args))
         if unknown:
             raise SystemExit(f"config fields not read by {args.command}: {', '.join(unknown)}")
-        _validate_numeric(doc)
+        actions = {a.dest: a for a in args.subparser._actions}
+        for key, value in doc.items():
+            _check_kind(key, value, actions[key])
         args.subparser.set_defaults(**doc)
         args = parser.parse_args(argv)
     return {k: v for k, v in vars(args).items() if k not in _NOT_FIELDS}
 
 
-# count fields take an int only; a float such as 2.5 from a --config
-# document would otherwise fail deep inside range() or numpy
-_INT_FIELDS = ("paths", "realizations", "particles", "n_modes", "mode_index",
-               "bins", "seed", "threads")
+def _check_kind(key: str, value, action: argparse.Action) -> None:
+    """A document field holds what its flag parses to (a choice, a bool, a string,
+    an int or a number); null only where the flag's default is None."""
+    if value is None and action.default is None:
+        return
+    if action.choices is not None:
+        ok, kind = value in action.choices, f"one of {', '.join(action.choices)}"
+    elif action.nargs == 0:
+        ok, kind = isinstance(value, bool), "a bool"
+    elif action.type is None:
+        ok, kind = isinstance(value, str), "a string"
+    elif action.type is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an int"
+    else:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    if not ok:
+        raise SystemExit(f"config field {key}={value!r} is not {kind}")
 
 
-def _validate_numeric(cfg: dict) -> None:
-    """Range rules for the numeric fields; a value that is not an int or
-    float (a string or a bool from a --config document), or not an int for
-    a count field, is rejected too."""
+def _validate_ranges(cfg: dict) -> None:
+    """Range rules for the numeric fields."""
     rules = {
         "gamma": lambda v: v > 0, "pe": lambda v: v >= 0,
         "t_end": lambda v: v > 0, "dt": lambda v: v > 0,
@@ -106,13 +118,7 @@ def _validate_numeric(cfg: dict) -> None:
     }
     for key, ok in rules.items():
         value = cfg.get(key)
-        if value is None:
-            continue
-        kinds = int if key in _INT_FIELDS else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            kind = "an int" if key in _INT_FIELDS else "a number"
-            raise SystemExit(f"config field {key}={value!r} is not {kind}")
-        if not ok(value):
+        if value is not None and not ok(value):
             raise SystemExit(f"config field {key}={value!r} out of range")
 
 
@@ -261,14 +267,12 @@ def cmd_pdf(cfg: dict) -> int:
         density = np.diff(cdf) / np.diff(edges)   # bin averages: sums exactly to 1
         centers = 0.5 * (edges[:-1] + edges[1:])
         analytic = pdf_deterministic(np.clip(centers, 1e-12, 1 - 1e-12), cfg["beta"])
-    elif cfg["mode"] == "random-wave":
+    else:
         edges = np.linspace(-6.0, 6.0, bins + 1)
         cdf = cdf_random_wave(edges)
         density = np.diff(cdf) / np.diff(edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         analytic = pdf_random_wave(centers)
-    else:
-        raise SystemExit(f"unknown pdf mode {cfg['mode']!r}")
     np.savetxt(out / f"pdf_{cfg['mode']}.csv",
                np.column_stack([centers, density, analytic]),
                delimiter=",", header="z,bin_average_density,pointwise_density",
@@ -395,7 +399,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _merge_config(args, parser, argv)
-    _validate_numeric(cfg)
+    _validate_ranges(cfg)
     return args.func(cfg)
 
 

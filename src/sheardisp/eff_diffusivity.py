@@ -11,9 +11,9 @@ lambda2 = 2 + sum_n 2 Pe^2 n! 2^n <a_n, (n gamma - Lap)^{-1} a_n> of a flow
 v(y, sqrt(gamma) z) = sum_n a_n(y) H_n(z), evaluated by ``_lambda2_term``:
 steady Taylor dispersion is the n = 0 term of a_0 = vbar, a multiplicative
 flow u(y) xi(t) the n = 1 term of a_1 = u sqrt(gamma)/2, and white noise its
-gamma -> infinity limit.  Also: the dual-route lambda11, the dimensional
-linear-shear expression with its small-damping asymptotics, and the
-zero-diffusivity random limit.
+gamma -> infinity limit.  Also: the dual-route lambda11 and the dimensional
+linear-shear expression with its small-damping asymptotics.  The
+zero-diffusivity ensemble mean is the white-noise enhancement at Pe = 1.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class Lambda2Result(NamedTuple):
     value: float
     last_term: float          # magnitude of the final retained series term
     n_terms: int              # number of Hermite modes contributing
-    stopped_by: str           # "tolerance" | "n_h"
+    stopped_by: str           # "tolerance" | "modes" (the top mode is still significant)
 
 
 class Lambda11Result(NamedTuple):
@@ -135,8 +135,10 @@ class Lambda11Result(NamedTuple):
 # ---------------------------------------------------------------------------
 
 _SERIES_RTOL = 1e-12
-_TRUNCATION_TOL = 1e-6    # last term of a series cut by n_h, relative to the enhancement
+_TRUNCATION_TOL = 1e-6    # top term of a series still significant, relative to the enhancement
 _LAMBDA11_RTOL = 1e-6     # series vs integral route of lambda11
+_Z_MAX = 8.0              # integral route of lambda11: outer grid |z| <= _Z_MAX
+_N_Z = 4000               # on _N_Z (even) intervals
 
 
 def _lambda2_term(a: GridFunction, n: int, gamma: float, pe: float, bc: str) -> float:
@@ -144,13 +146,12 @@ def _lambda2_term(a: GridFunction, n: int, gamma: float, pe: float, bc: str) -> 
     return 2.0 * pe**2 * hermite_norm(n) * a.inner(helmholtz_inverse(a, n * gamma, bc))
 
 
-def lambda2_general(flow: FlowSpec, gamma: float, pe: float,
-                    n_h: Optional[int] = None) -> Lambda2Result:
+def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
     """lambda2 = 2 + 2 Pe^2 sum_n n! 2^n int a_n (n*gamma - Lap)^{-1} a_n dy.
 
     The n = 0 term uses the zero-eigenvalue inverse, which is solvable
-    because a_0 is stored in the Galilean frame (zero mean).  All terms
-    through ``n_h`` contribute; the diagnostic reports whether the series
+    because a_0 is stored in the Galilean frame (zero mean).  Every mode
+    of the series contributes; the diagnostic reports whether the series
     visibly converged (every term beyond some index below 1e-12 of the
     enhancement) before running out of modes.  If the top mode is still
     significant, TruncationError is raised -- for exactly terminating
@@ -159,24 +160,22 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     series = _require_general(flow)
-    n_h = series.n_modes if n_h is None else min(n_h, series.n_modes)
     terms = [_lambda2_term(a_n, n, gamma, pe, flow.bc) if np.any(a_n.values) else 0.0
-             for n, a_n in enumerate(series.coeffs[:n_h + 1])]
+             for n, a_n in enumerate(series.coeffs)]
     total = sum(terms)
     scale = max(abs(total), 1e-300)
     significant = [n for n, t in enumerate(terms) if abs(t) >= _SERIES_RTOL * scale]
     n_used = (significant[-1] + 1) if significant else 1
-    stopped_by = "tolerance" if n_used <= n_h else "n_h"
+    stopped_by = "tolerance" if n_used <= series.n_modes else "modes"
     last = abs(terms[n_used - 1])
-    if stopped_by == "n_h" and last > _TRUNCATION_TOL * max(scale, 1e-12):
+    if stopped_by == "modes" and last > _TRUNCATION_TOL * max(scale, 1e-12):
         raise TruncationError(
-            f"n_h={n_h} too small: last term {last:.3e} above tolerance "
+            f"{series.n_modes} modes too few: top term {last:.3e} above tolerance "
             f"{_TRUNCATION_TOL:.1e} relative to enhancement {scale:.3e}")
     return Lambda2Result(2.0 + total, last, n_used, stopped_by)
 
 
-def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int] = None,
-                     z_max: float = 8.0, n_z: int = 4000) -> Lambda11Result:
+def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     """lambda11 by two routes with a built-in agreement check.
 
     Series: (2 Pe^2 / gamma) sum_{n>=1} (n! 2^n / n) abar_n^2.
@@ -189,8 +188,8 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
     for z < 0 and backward from +z_max for z > 0 -- the backward variant
     of the vanishing-total-mass identity -- because forward accumulation
     past the origin leaves a roundoff residue that e^{z^2} amplifies
-    catastrophically.  Truncation tail beyond |z| = z_max is below
-    e^{-z_max^2} * poly and is negligible at z_max = 8.
+    catastrophically.  Truncation tail beyond |z| = z_max = 8 is below
+    e^{-z_max^2} * poly and is negligible.
 
     Returns the series value; a relative disagreement beyond 1e-6 raises
     RepresentationMismatchError (truncation or quadrature failure).
@@ -198,13 +197,12 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     series = _require_general(flow)
-    n_h = series.n_modes if n_h is None else min(n_h, series.n_modes)
-    abar = series.mean_coefficients()[:n_h + 1]
+    abar = series.mean_coefficients()
 
     value = (2.0 * pe**2 / gamma) * sum(hermite_norm(n) / n * abar[n] ** 2
-                                        for n in range(1, n_h + 1))
+                                        for n in range(1, series.n_modes + 1))
 
-    integral = _lambda11_integral(series, gamma, pe, z_max, n_z)
+    integral = _lambda11_integral(series, gamma, pe)
 
     tol = _LAMBDA11_RTOL * abs(value) + 1e-10 * (1.0 + pe**2 / gamma)
     if abs(value - integral) > tol:
@@ -214,18 +212,15 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float, n_h: Optional[int]
     return Lambda11Result(value, integral)
 
 
-def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float,
-                       z_max: float, n_z: int) -> float:
-    if n_z % 2 != 0:
-        n_z += 1
-    z = np.linspace(-z_max, z_max, n_z + 1)
+def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float) -> float:
+    z = np.linspace(-_Z_MAX, _Z_MAX, _N_Z + 1)
     h = z[1] - z[0]
     mid = z[:-1] + 0.5 * h
     f_nodes = np.exp(-z * z) * series.vbar(z)
     f_mid = np.exp(-mid * mid) * series.vbar(mid)
     steps = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
-    izero = n_z // 2
-    cum = np.zeros(n_z + 1)
+    izero = _N_Z // 2
+    cum = np.zeros(_N_Z + 1)
     # forward from -z_max on the left half, backward from +z_max on the right
     cum[1:izero + 1] = np.cumsum(steps[:izero])
     cum[izero:-1] = -np.cumsum(steps[izero:][::-1])[::-1]
@@ -234,11 +229,10 @@ def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float,
     return 4.0 * pe**2 / (gamma * np.sqrt(np.pi)) * simpson(outer, x=z)
 
 
-def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float,
-                      n_h: Optional[int] = None) -> EigenData:
+def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float) -> EigenData:
     """Assemble EigenData for a general Hermite-series flow."""
-    l2 = lambda2_general(flow, gamma, pe, n_h)
-    l11 = lambda11_general(flow, gamma, pe, n_h)
+    l2 = lambda2_general(flow, gamma, pe)
+    l11 = lambda11_general(flow, gamma, pe)
     return EigenData(l2.value, l11.value, pe)
 
 
@@ -267,7 +261,11 @@ def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
 
 def lambda_white(u: GridFunction, pe: float) -> EigenData:
     """White noise, the gamma -> infinity limit of the n = 1 term, where
-    gamma (gamma - Lap)^{-1} u -> u: lambda2 = 2 + Pe^2 <u, u>, lambda11 = Pe^2 (int u)^2."""
+    gamma (gamma - Lap)^{-1} u -> u: lambda2 = 2 + Pe^2 <u, u>, lambda11 = Pe^2 (int u)^2.
+
+    The enhancement kappa_eff - 1 = Pe^2 (<u, u> - ubar^2) / 2 at Pe = 1 is
+    the ensemble mean of the zero-molecular-diffusivity effective
+    diffusivity (<u, u> - ubar^2) B(1)^2 / 2."""
     lambda2 = 2.0 + pe**2 * u.inner(u)
     lambda11 = pe**2 * u.mean() ** 2
     return EigenData(lambda2, lambda11, pe)
@@ -304,18 +302,6 @@ def kappa_eff_dimensional_linear(kappa: float, g: float, gamma: float, L: float)
         + kappa**1.5 * math.tanh(math.sqrt(gamma) * L / (2.0 * math.sqrt(kappa)))
         / (gamma**1.5 * L)
     )
-
-
-def zero_diffusivity_kappa(u: GridFunction, seed: int) -> tuple[float, float]:
-    """Zero-molecular-diffusivity limit, where the effective diffusivity is
-    the random variable (int u^2 - (int u)^2) B(1)^2 / 2.
-
-    Returns one sample and the closed ensemble mean
-    (int u^2 - (int u)^2) / 2.
-    """
-    var_u = u.inner(u) - u.mean() ** 2
-    b1 = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal()
-    return var_u * b1 * b1 / 2.0, var_u / 2.0
 
 
 # ---------------------------------------------------------------------------

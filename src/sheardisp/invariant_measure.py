@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,35 +32,27 @@ _TALBOT_NODES = 32       # fixed-Talbot contour points
 
 @dataclass(frozen=True)
 class BetaSpec:
-    """Parameters determining the deterministic-data shape parameter beta.
-
-    Leading order beta = Pe^2 ubar^2 / (2 kappa_eff); the finite-time
-    field set (t, s, v_t) refines it for an initial Gaussian of variance
-    s using the exact variance v_t of the OU time integral.
-    """
+    """Parameters of the finite-time shape parameter beta for an initial
+    Gaussian of variance s at time t, with v_t the exact variance of the OU
+    time integral.  The leading-order beta = Pe^2 ubar^2 / (2 kappa_eff),
+    its t -> inf limit, is ``EigenData.beta``."""
 
     pe: float
     ubar: float
     kappa_eff: float
-    t: Optional[float] = None
-    s: Optional[float] = None
-    v_t: Optional[float] = None
+    t: float
+    s: float
+    v_t: float
 
     def __post_init__(self):
         if self.kappa_eff <= 0:
             raise ValueError("kappa_eff must be positive")
-
-    @property
-    def beta_leading(self) -> float:
-        return self.pe**2 * self.ubar**2 / (2.0 * self.kappa_eff)
 
 
 def beta_finite_time(spec: BetaSpec) -> float:
     """Finite-time beta = 2 Pe^2 ubar^2 v(t) / (4 t kappa_eff + 2 s).
 
     Reduces to the leading-order value as t -> inf with v(t)/t -> 1."""
-    if spec.t is None or spec.s is None or spec.v_t is None:
-        raise ValueError("finite-time fields (t, s, v_t) must all be present")
     return 2.0 * spec.pe**2 * spec.ubar**2 * spec.v_t / (4.0 * spec.t * spec.kappa_eff + 2.0 * spec.s)
 
 

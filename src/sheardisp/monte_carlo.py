@@ -85,15 +85,6 @@ class InitialData:
     def random_wave(cls, a: float, amplitude: complex) -> "InitialData":
         return cls("random-wave", a=a, amplitude=complex(amplitude))
 
-    @property
-    def mass(self) -> float:
-        """Total streamwise integral; unit for the localized kinds."""
-        if self.kind in ("delta-line", "gaussian"):
-            return 1.0
-        if self.kind == "random-wave":
-            return 0.0
-        raise ValueError(f"mass undefined for {self.kind} data")
-
     def sample_particles(self, n: int, rng: np.random.Generator):
         if self.kind == "delta-line":
             x = np.zeros(n)
@@ -187,7 +178,7 @@ def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
 def _xi_midpoints(path: Optional[OUPath], n_steps: int) -> np.ndarray:
     if path is None:
         return np.zeros(n_steps)
-    xi = path.values[:n_steps + 1]
+    xi = path.xi[:n_steps + 1]
     return 0.5 * (xi[:-1] + xi[1:])
 
 
@@ -206,8 +197,8 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     """
     if flow.kind == "steady":
         path = None
-    elif path is None or path.values is None:
-        raise ValueError("non-steady flows require an OU path with xi values")
+    elif path is None:
+        raise ValueError("non-steady flows require an OU path")
     dt = cfg.dt
     if dt * math.pi**2 > 0.25:
         warnings.warn("dt does not resolve the slowest cross-channel mode; "
@@ -241,25 +232,24 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
 
 def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
                             x: float, y: float, t: float, init: InitialData,
-                            cfg: SimConfig, realization: int = 0) -> tuple[float, float]:
+                            cfg: SimConfig) -> tuple[float, float]:
     """Backward-characteristics estimate of T(x, y, t) for one realization.
 
     Every backward sample sees the same xi path, so the estimate is one
     realization of the random field.  Given the y-walk's D the start point
     is x - Pe D - sqrt(2t) Z, and Z is averaged out exactly: the estimate
     is the mean of ``init.value(x - Pe D, t)`` over the walks, which run
-    between the walls the flow declares (``flow.bc``).  Returns (estimate,
-    standard error); a start point off the channel (y outside [0, 1]) or
-    not finite, or fewer than two particles, raises ``ValueError``.
+    between the walls the flow declares (``flow.bc``) and are seeded from
+    cfg.seed.  Returns (estimate, standard error); a start point off the
+    channel (y outside [0, 1]) or not finite, fewer than two particles, or
+    a white-noise-limit path (no pointwise xi) raises ``ValueError``.
     """
     if not (math.isfinite(x) and math.isfinite(y) and 0.0 <= y <= 1.0):
         raise ValueError(f"need finite x and y in [0, 1], got x={x!r}, y={y!r}")
     if cfg.n_particles < 2:
         raise ValueError(f"a standard error needs n_particles >= 2, got {cfg.n_particles}")
-    if path.values is None:
-        raise ValueError("backward evaluation needs pointwise xi values")
     n_steps = _step_indices(path, t, cfg.dt)
-    rng = np.random.default_rng(realization_seed(cfg.seed, realization))
+    rng = np.random.default_rng(realization_seed(cfg.seed, 0))
     n = cfg.n_particles
     # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
     xi_mid = _xi_midpoints(path, n_steps)[::-1]
@@ -272,18 +262,18 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
 
 
 def wind_model_solution(x, t: float, path: OUPath, eigen: EigenData, ubar: float,
-                        init: Optional[InitialData] = None, mass: float = 1.0):
+                        init: Optional[InitialData] = None):
     """Analytic long-time wind-model field on one xi realization: the data
-    (default the delta line) carried by the drift Pe ubar I(t) and smoothed
-    by the heat kernel with diffusivity kappa_eff,
+    (default the unit-mass delta line) carried by the drift Pe ubar I(t) and
+    smoothed by the heat kernel with diffusivity kappa_eff,
 
-        T(x, t) = mass * init.value(x - Pe ubar I(t), kappa_eff t).
+        T(x, t) = init.value(x - Pe ubar I(t), kappa_eff t).
     """
     if eigen.kappa_eff <= 0:
         raise ValueError("kappa_eff must be positive")
     drift = eigen.pe * ubar * path.integral_at(t)
     x_rel = np.asarray(x, dtype=float) - drift
-    return mass * (init or InitialData.delta_line()).value(x_rel, eigen.kappa_eff * t)
+    return (init or InitialData.delta_line()).value(x_rel, eigen.kappa_eff * t)
 
 
 def simulate_random_wave(a: float, pe: float, ubar: float,

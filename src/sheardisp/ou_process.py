@@ -185,8 +185,3 @@ def integral_variance(gamma: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     return t + np.expm1(-gamma * t) / gamma
 
-
-def sample_ensemble(params: OUParams, t_grid: np.ndarray, seed: int,
-                    n_paths: int) -> list[OUPath]:
-    """Independent paths; path i is seeded by (seed, i), order-independent."""
-    return [sample_ou(params, t_grid, seed, realization=i) for i in range(n_paths)]

@@ -46,10 +46,10 @@ class SolvabilityError(ValueError):
 class GridFunction:
     """Real function sampled on a uniform grid over [0, 1], endpoints included.
 
-    ``nodes`` has N+1 points with N even and N >= 8.  Integrals, means and
-    inner products share one rule: Boole's, the Richardson extrapolation
-    (16 S_h - S_2h)/15 of the h and 2h Simpson sums (exact for quintics),
-    and plain Simpson when 4 does not divide N.
+    ``nodes`` has N+1 points with N even and N >= 8.  Means (on [0, 1] the
+    same number as integrals) and inner products share one rule: Boole's,
+    the Richardson extrapolation (16 S_h - S_2h)/15 of the h and 2h Simpson
+    sums (exact for quintics), and plain Simpson when 4 does not divide N.
     """
 
     nodes: np.ndarray
@@ -78,13 +78,10 @@ class GridFunction:
     def h(self) -> float:
         return self.nodes[1] - self.nodes[0]
 
-    def integral(self) -> float:
+    def mean(self) -> float:
         """The grid's one quadrature: numpy's pairwise sum of values times
         the Boole (or Simpson) weights, the same sum ``cosine_project`` takes."""
         return float(np.sum(self.values * _inner_weights(self.nodes.size - 1)))
-
-    def mean(self) -> float:
-        return self.integral()
 
     def is_zero_mean(self) -> bool:
         """Solvability of the lambda = 0 inverse: |mean| <= 1e-10 (1 + max|values|)."""
@@ -94,7 +91,7 @@ class GridFunction:
         """Inner product: the integral of u*v over [0, 1]."""
         if other.nodes.size != self.nodes.size:
             raise ValueError("grid mismatch")
-        return self.with_values(self.values * other.values).integral()
+        return self.with_values(self.values * other.values).mean()
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """New values on this (already validated) grid; only their shape is checked."""

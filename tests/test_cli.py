@@ -70,9 +70,18 @@ class TestKappaEff:
         (["aris", "--seed", "-1"], None, "seed"),
         (["aris", "--threads", "0"], None, "threads"),
         (["aris", "--t-end", "10", "--dt", "0.01"], None, "t_end"),
+        (["kappa-eff"], {"bc": "bogus"}, "bc"),
+        (["kappa-eff"], {"flow": 3}, "flow"),
+        (["kappa-eff"], {"white_noise": "yes"}, "white_noise"),
+        (["simulate"], {"steady": "no"}, "steady"),
+        (["pdf"], {"mode": "bogus"}, "mode"),
+        (["pdf"], {"outdir": 3}, "outdir"),
+        (["validate"], {"only": 1}, "only"),
     ], ids=["negative-gamma", "mode-index-0", "string-gamma", "bool-pe",
             "init-s-0", "negative-init-s", "float-paths", "float-n-modes",
-            "float-seed", "negative-seed", "zero-threads", "aris-short-t-end"])
+            "float-seed", "negative-seed", "zero-threads", "aris-short-t-end",
+            "bogus-bc", "int-flow", "string-white-noise", "string-steady",
+            "bogus-pdf-mode", "int-outdir", "int-only"])
     def test_invalid_numeric_config(self, argv, doc, field, tmp_path):
         if doc is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from sheardisp.eff_diffusivity import lambda_multiplicative
+from sheardisp.spectral_core import GridFunction
 from sheardisp.invariant_measure import (
     BetaSpec,
     beta_finite_time,
@@ -23,8 +25,10 @@ from sheardisp.invariant_measure import (
 
 class TestBetaSpec:
     def test_leading_order(self):
-        spec = BetaSpec(pe=2.0, ubar=0.5, kappa_eff=1.25)
-        assert spec.beta_leading == pytest.approx(4 * 0.25 / 2.5)
+        # EigenData.beta = lambda11 / (lambda2 - lambda11) = Pe^2 ubar^2 / (2 kappa_eff)
+        u = GridFunction.from_callable(lambda y: y + 0.25, 512)
+        eig = lambda_multiplicative(u, 1.0, 2.0)
+        assert eig.beta == pytest.approx(4 * 0.75**2 / (2 * eig.kappa_eff), rel=1e-12)
 
     def test_finite_time_reduces_to_leading(self):
         # v(t) ~ t as t -> infinity
@@ -32,13 +36,13 @@ class TestBetaSpec:
         spec = BetaSpec(1.0, 1.0, 1.2, t=t, s=0.5, v_t=t)
         assert beta_finite_time(spec) == pytest.approx(1.0 / 2.4, rel=1e-8)
 
-    def test_s_zero္and_vt_t(self):
+    def test_s_zero_and_vt_t(self):
         spec = BetaSpec(1.0, 1.0, 1.2, t=7.0, s=0.0, v_t=7.0)
         assert beta_finite_time(spec) == pytest.approx(1.0 / 2.4, rel=1e-14)
 
     def test_requires_finite_time_fields(self):
-        with pytest.raises(ValueError):
-            beta_finite_time(BetaSpec(1.0, 1.0, 1.0))
+        with pytest.raises(TypeError):
+            BetaSpec(1.0, 1.0, 1.0)
 
 
 class TestDeterministicPdf:

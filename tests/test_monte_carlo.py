@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from sheardisp.ou_process import (
-    OUParams, OUPath, integral_variance, realization_seed, sample_ou, time_grid,
+    OUParams, OUPath, integral_variance, realization_seed, sample_brownian_scaled, sample_ou,
+    time_grid,
 )
 from sheardisp.spectral_core import GridFunction
 from sheardisp.eff_diffusivity import (
@@ -57,7 +58,6 @@ class TestConfigAndInitialData:
         with pytest.raises(ValueError):
             InitialData.gaussian(-1.0)
         g = InitialData.gaussian(0.5)
-        assert g.mass == 1.0
         assert g.value(0.0) == pytest.approx(1 / math.sqrt(np.pi), rel=1e-12)
         d = InitialData.delta_line()
         with pytest.raises(ValueError):
@@ -373,6 +373,19 @@ def test_bad_t_end_raises(solver, t_end):
                                     t_end, InitialData.gaussian(0.5), cfg)
 
 
+def test_white_noise_path_raises():
+    # a white-noise-limit path carries only I(t): neither walk has a xi to read
+    u = linear_profile()
+    path = sample_brownian_scaled(time_grid(0.1, 0.01), 1.0, seed=3)
+    cfg = SimConfig(dt=0.01, n_particles=100, seed=4, pe=1.0)
+    with pytest.raises(ValueError, match="white-noise"):
+        simulate_forward(FlowSpec.multiplicative(u), 1.0, InitialData.delta_line(),
+                         0.1, cfg, path)
+    with pytest.raises(ValueError, match="white-noise"):
+        evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path, 0.0, 0.5,
+                                0.1, InitialData.gaussian(0.5), cfg)
+
+
 class TestWindModel:
     def test_time_outside_path_raises(self):
         # the drift needs I(t), which a path on [0, 1] does not have at t = 5
@@ -425,7 +438,6 @@ class TestRandomWave:
     def test_second_moment_prediction_at_fixed_time(self):
         # <T^2(0, t)> from wind-model fields on white-noise paths matches the
         # closed N = 2 moment prediction
-        from sheardisp.ou_process import sample_brownian_scaled, time_grid
         from sheardisp.aris_solver import nth_moment_prediction
         u = GridFunction.from_callable(lambda y: y + 0.5, 512)
         eig = lambda_white(u, 1.0)

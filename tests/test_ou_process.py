@@ -9,7 +9,6 @@ from sheardisp.ou_process import (
     OUPath,
     integral_variance,
     sample_brownian_scaled,
-    sample_ensemble,
     sample_ou,
     time_grid,
     transition_moments,
@@ -111,7 +110,7 @@ class TestReproducibility:
     def test_thread_pool_matches_sequential(self):
         grid = time_grid(1.0, 0.05)
         params = OUParams(1.0)
-        sequential = sample_ensemble(params, grid, seed=11, n_paths=16)
+        sequential = [sample_ou(params, grid, seed=11, realization=i) for i in range(16)]
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(
                 lambda i: sample_ou(params, grid, seed=11, realization=i), range(16)))

@@ -57,7 +57,7 @@ class TestGridFunction:
 
     def test_quadrature(self):
         g = GridFunction.from_callable(lambda y: np.sin(np.pi * y), 128)
-        assert abs(g.integral() - 2 / np.pi) < 1e-8
+        assert abs(g.mean() - 2 / np.pi) < 1e-8
         assert abs(g.centered().mean()) < 1e-14
 
     def test_inner_rule(self):
@@ -335,11 +335,11 @@ class TestCosineProject:
 
     @pytest.mark.parametrize("n", [8, 10, 64, 510, 512, 2048])
     def test_one_rule(self, n):
-        # c_0, the mean, the integral and <u, 1> are one quadrature, bit for bit
+        # c_0, the mean (on [0, 1] the integral) and <u, 1> are one quadrature, bit for bit
         u = GridFunction.from_callable(lambda y: np.sin(7 * y) + y**3, n)
         ones = u.with_values(np.ones(n + 1))
         assert cosine_project(u, 6)[0] == u.mean()
-        assert u.integral() == u.inner(ones)
+        assert u.mean() == u.inner(ones)
 
     def test_parseval_partial_sums(self):
         u = GridFunction.from_callable(lambda y: y**2 - np.sin(2 * y), 512)
