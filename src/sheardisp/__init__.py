@@ -22,7 +22,6 @@ from .spectral_core import (
     hermite_norm,
     hermite_project,
     cosine_project,
-    bessel_k0,
 )
 from .eff_diffusivity import (
     FlowSpec,

@@ -47,17 +47,25 @@ from . import acceptance
 
 
 def _load_profile(spec: str) -> GridFunction:
-    """Flow presets 'linear', 'cosine', 'cosine:k', or a CSV of (y, u); 512 intervals."""
+    """Flow presets 'linear', 'cosine', 'cosine:k', or a CSV of (y, u) rows
+    with y increasing; 512 intervals."""
     if spec == "linear":
         return linear_profile()
     if spec == "cosine":
         return cosine_profile(1)
-    if spec.startswith("cosine:"):
-        return cosine_profile(int(spec.split(":", 1)[1]))
-    path = Path(spec)
-    if not path.exists():
-        raise SystemExit(f"flow spec {spec!r}: not a preset and file does not exist")
-    data = np.loadtxt(path, delimiter=",")
+    try:
+        if spec.startswith("cosine:"):
+            return cosine_profile(int(spec.split(":", 1)[1]))
+        path = Path(spec)
+        if not path.exists():
+            raise SystemExit(f"flow spec {spec!r}: not a preset and file does not exist")
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise SystemExit(f"flow spec {spec!r}: {exc}") from None
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise SystemExit(f"flow spec {spec!r}: need at least two rows of y,u values")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise SystemExit(f"flow spec {spec!r}: y must increase strictly down the rows")
     return GridFunction.from_callable(lambda grid: np.interp(grid, data[:, 0], data[:, 1]))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import erfc, k0e
 
 _TALBOT_NODES = 32       # fixed-Talbot contour points
@@ -109,29 +109,25 @@ def talbot_inverse(transform, w):
 
     Samples the transform along p(theta) = (r/w) theta (cot theta + i) at
     M = _TALBOT_NODES points, r = 2 M / 5, and sums the standard weights.
-    The deformed contour requires all singularities of the transform on
-    or near the negative real axis, which holds for every transform used
-    here.
+    ``transform`` must act elementwise on complex arrays: it is called on
+    the theta = 0 points r/w (weight 1/2) and on the other M - 1 contour
+    points, shape w.shape + (M - 1,).  The deformed contour requires all
+    singularities of the transform on or near the negative real axis,
+    which holds for every transform used here.
     """
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr <= 0):
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0):
         raise ValueError("inversion abscissa must be positive")
     m = _TALBOT_NODES
     r = 2.0 * m / 5.0
     theta = np.pi * np.arange(1, m) / m
     cot = 1.0 / np.tan(theta)
-    out = np.empty_like(w_arr)
-    for i, t in enumerate(w_arr):
-        p0 = r / t
-        acc = 0.5 * math.exp(r) * complex(transform(complex(p0, 0.0)))
-        p = (r / t) * theta * (cot + 1j)
-        weights = 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)
-        fp = np.array([transform(pk) for pk in p], dtype=complex)
-        acc += np.sum(np.exp(t * p) * weights * fp)
-        out[i] = 2.0 / (5.0 * t) * acc.real
-    if np.ndim(w) == 0:
-        return float(out[0])
-    return out
+    t = w[..., None]
+    p = (r / t) * theta * (cot + 1j)
+    weights = 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)
+    acc = 0.5 * math.exp(r) * transform(r / w + 0j)
+    acc += np.sum(np.exp(t * p) * weights * transform(p), axis=-1)
+    return (2.0 / (5.0 * w) * acc.real)[()]
 
 
 def reconstruct_pdf_from_moments(beta: float, z_grid):
@@ -142,17 +138,15 @@ def reconstruct_pdf_from_moments(beta: float, z_grid):
     validated in the test suite on the analytic pair
     L^{-1}((s+1)^{-1/2})(w) = e^{-w}/sqrt(pi w).
     """
-    z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    if np.any((z_arr <= 0.0) | (z_arr >= 1.0)):
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    z = np.asarray(z_grid, dtype=float)
+    if np.any((z <= 0.0) | (z >= 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
-    w = -np.log(z_arr)
-    vals = talbot_inverse(lambda p: (beta * p + 1.0) ** -0.5, w)
+    vals = talbot_inverse(lambda p: (beta * p + 1.0) ** -0.5, -np.log(z))
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("Talbot contour evaluation failed (non-finite sum)")
-    out = vals / z_arr
-    if np.ndim(z_grid) == 0:
-        return float(out[0])
-    return out
+    return (vals / z)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +162,8 @@ def pdf_random_wave(z):
     Symmetric, unit mass, variance 1/2, fourth moment 9/8 (kurtosis 9/2);
     logarithmically singular at z = 0, where +inf is returned.
     """
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    out = np.full(z_arr.shape, np.inf)
-    nz = z_arr != 0.0
-    q = z_arr[nz] ** 2 / 4.0
-    out[nz] = k0e(q) * np.exp(-2.0 * q) * _RW_NORM   # e^{-q} K0(q)
-    return float(out[0]) if scalar else out
+    q = np.asarray(z, dtype=float) ** 2 / 4.0
+    return (k0e(q) * np.exp(-2.0 * q) * _RW_NORM)[()]   # e^{-q} K0(q)
 
 
 def pdf_random_wave_tail(z):
@@ -184,24 +172,15 @@ def pdf_random_wave_tail(z):
     return np.exp(-z_arr**2 / 2.0) * (1.0 / (math.pi * z_arr) - 1.0 / (2.0 * math.pi * z_arr**3))
 
 
-def _random_wave_upper_tail(z_abs: float) -> float:
-    """P(Ttilde > z) for z >= 0, by quadrature over the uniform phase: the
-    conditional law given the phase is N(0, cos^2 eta)."""
-    if z_abs == 0.0:
-        return 0.5
-    val, _ = quad(
-        lambda th: erfc(z_abs / (math.sqrt(2.0) * math.cos(th))),
-        0.0, math.pi / 2.0, limit=200)
-    return val / math.pi
-
-
 @lru_cache(maxsize=1)
 def _random_wave_cdf_table() -> tuple[np.ndarray, np.ndarray]:
     # log-spaced abscissae resolve the log-singular density at 0; beyond
-    # z = 9 the tail is below e^{-40} and the table clamps
+    # z = 9 the tail is below e^{-40} and the table clamps.  P(Ttilde > z)
+    # averages the tail of the conditional law N(0, cos^2 eta) over the
+    # uniform phase, for every node in one vector quadrature.
     z = np.concatenate(([0.0], np.logspace(-6, np.log10(9.0), 1500)))
-    tail = np.array([_random_wave_upper_tail(zi) for zi in z])
-    return z, tail
+    tail, _ = quad_vec(lambda th: erfc(z / (math.sqrt(2.0) * math.cos(th))), 0.0, math.pi / 2.0)
+    return z, tail / math.pi
 
 
 def cdf_random_wave(z):
@@ -212,13 +191,10 @@ def cdf_random_wave(z):
     so it doubles as an independent representation in tests.  Evaluations
     interpolate a cached 1500-node tail table (absolute accuracy ~1e-5).
     """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
     nodes, tail = _random_wave_cdf_table()
-    t = np.interp(np.abs(z_arr), nodes, tail, right=0.0)
-    out = np.where(z_arr >= 0, 1.0 - t, t)
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out
+    t = np.interp(np.abs(z), nodes, tail, right=0.0)
+    return np.where(z >= 0, 1.0 - t, t)[()]
 
 
 # ---------------------------------------------------------------------------

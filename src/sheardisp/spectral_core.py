@@ -7,8 +7,7 @@ wall, whose two coefficients are all that no-flux and periodic walls
 change; for lambda = 0 a double antiderivative.  Also grid functions with
 one quadrature rule (Boole's, for integrals, means and inner products),
 Hermite series and their Gauss-Hermite projections (numpy's ``hermval``
-and ``hermvander`` do the Hermite algebra), cosine-basis projections, and
-the modified Bessel function K0.
+and ``hermvander`` do the Hermite algebra), and cosine-basis projections.
 
 Convention fixed throughout the package: *physicists'* Hermite
 polynomials, orthogonal under the weight exp(-z^2) with
@@ -31,7 +30,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval, hermvander
 from scipy.integrate import cumulative_simpson
 from scipy.signal import lfilter
-from scipy.special import k0
 
 
 class SolvabilityError(ValueError):
@@ -301,16 +299,3 @@ def cosine_project(u: GridFunction, n_max: int) -> np.ndarray:
 def cosine_eigenvalue(n: int) -> float:
     """Neumann Laplacian eigenvalue n^2 pi^2 for phi_n."""
     return float(n * n * np.pi * np.pi)
-
-
-# ---------------------------------------------------------------------------
-# modified Bessel function K0
-# ---------------------------------------------------------------------------
-
-def bessel_k0(x) -> np.ndarray:
-    """Modified Bessel function K0(x), x > 0 (scipy.special.k0)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("K0 is defined for x > 0 only")
-    out = k0(x_arr)
-    return float(out) if x_arr.ndim == 0 else out

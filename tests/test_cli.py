@@ -53,9 +53,15 @@ class TestKappaEff:
         assert rec["kappa_eff"] == pytest.approx(
             lambda_white(linear_profile(), 1.0).kappa_eff, rel=1e-4)
 
-    def test_missing_flow_file(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["kappa-eff", "--flow", "no/such/file.csv"])
+    def test_missing_flow_file(self, tmp_path, capsys):
+        (tmp_path / "one_row.csv").write_text("0.5,1.0\n")
+        (tmp_path / "header.csv").write_text("y,u\n0,0\n1,1\n")
+        (tmp_path / "descending.csv").write_text("1,1\n0.5,0.5\n0,0\n")
+        specs = ["no/such/file.csv", str(tmp_path / "one_row.csv"),
+                 str(tmp_path / "header.csv"), str(tmp_path / "descending.csv"), "cosine:x"]
+        for spec in specs:
+            with pytest.raises(SystemExit, match="flow spec"):
+                main(["kappa-eff", "--flow", spec])
 
     @pytest.mark.parametrize("argv, doc, field", [
         (["kappa-eff", "--flow", "linear", "--gamma", "-3"], None, "gamma"),

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from sheardisp.eff_diffusivity import lambda_multiplicative
 from sheardisp.spectral_core import GridFunction
 from sheardisp.invariant_measure import (
     BetaSpec,
+    _random_wave_cdf_table,
     beta_finite_time,
     cdf_deterministic,
     cdf_random_wave,
@@ -150,6 +152,9 @@ class TestReconstruction:
     def test_grid_domain(self):
         with pytest.raises(ValueError):
             reconstruct_pdf_from_moments(1.0, np.array([0.0, 0.5]))
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                reconstruct_pdf_from_moments(beta, 0.5)
 
 
 class TestRandomWavePdf:
@@ -172,12 +177,34 @@ class TestRandomWavePdf:
     def test_tail_expansion(self):
         assert abs(pdf_random_wave(4.0) / pdf_random_wave_tail(4.0) - 1.0) < 0.01
 
+    def test_cdf_table_matches_pointwise_quadrature(self):
+        # reference: one quad per node of the phase average over eta
+        # P(Ttilde > z) = (1/pi) int_0^{pi/2} erfc(z / (sqrt(2) cos eta)) d eta
+        nodes, tail = _random_wave_cdf_table()
+        assert tail[0] == pytest.approx(0.5, abs=1e-12)
+        for z, table in zip(nodes[1::100], tail[1::100]):
+            ref, _ = quad(lambda th: erfc(z / (math.sqrt(2.0) * math.cos(th))),
+                          0.0, math.pi / 2.0, limit=200)
+            assert abs(table - ref / math.pi) < 1e-7
+
     def test_cdf_consistent_with_pdf(self):
         # the phase-average CDF and the K0 density are independent
         # representations of the same law
         for z in (0.4, 1.2, 3.0):
             num, _ = quad(pdf_random_wave, -12, z, points=[0.0], limit=300)
             assert cdf_random_wave(z) == pytest.approx(num, abs=2e-5)
+
+
+@pytest.mark.parametrize("fn, x", [
+    (lambda x: talbot_inverse(lambda p: (p + 1.0) ** -0.5, x), 0.7),
+    (lambda x: reconstruct_pdf_from_moments(0.8, x), 0.3),
+    (pdf_random_wave, 1.3),
+    (cdf_random_wave, -0.4),
+], ids=["talbot_inverse", "reconstruct_pdf_from_moments", "pdf_random_wave", "cdf_random_wave"])
+def test_scalar_in_scalar_out(fn, x):
+    out = fn(x)
+    assert isinstance(out, float)
+    assert out == fn(np.array([x]))[0]
 
 
 class TestSpectralVariance:

@@ -3,13 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
+from scipy.integrate import simpson
 
 from sheardisp.spectral_core import (
     GridFunction,
     HermiteSeries,
     SolvabilityError,
-    bessel_k0,
     cosine_project,
     cumint,
     helmholtz_inverse,
@@ -348,40 +347,3 @@ class TestCosineProject:
         assert np.all(np.diff(partial) >= -1e-15)
         assert partial[-1] <= u.inner(u) + 1e-10
         assert abs(partial[-1] - u.inner(u)) < 1e-4
-
-
-class TestBesselK0:
-    def test_reference_value(self):
-        # frozen from the integral oracle int_0^inf exp(-x cosh t) dt
-        assert bessel_k0(1.0) == pytest.approx(0.42102443824070834, rel=1e-12)
-
-    def test_small_argument(self):
-        assert bessel_k0(0.1) == pytest.approx(2.4270690247020166, rel=1e-10)
-
-    def test_integral_oracle(self):
-        for x in (0.1, 0.7, 1.0, 4.0, 9.0):
-            oracle, _ = quad(lambda t: math.exp(-x * math.cosh(t)),
-                             0.0, math.acosh(700.0 / x) if x < 700 else 1.0,
-                             limit=200)
-            assert bessel_k0(x) == pytest.approx(oracle, rel=1e-8)
-
-    def test_asymptotic_normalization(self):
-        # K0(x) e^x sqrt(2x/pi) -> 1, approached like 1 - 1/(8x)
-        norms = []
-        for x in (50.0, 200.0, 700.0):
-            norm = bessel_k0(x) * math.exp(x) * math.sqrt(2 * x / math.pi)
-            assert abs(norm - 1.0) < 0.2 / x
-            norms.append(norm)
-        assert norms[0] < norms[1] < norms[2] < 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            bessel_k0(0.0)
-        with pytest.raises(ValueError):
-            bessel_k0(-2.0)
-
-    def test_vectorized(self):
-        xs = np.array([0.5, 2.0, 12.0, 40.0])
-        out = bessel_k0(xs)
-        assert out.shape == xs.shape
-        assert np.all(np.diff(out) < 0)
