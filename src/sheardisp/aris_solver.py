@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ou_process import OUPath, _cumtrapz
-from .spectral_core import GridFunction, _decay_filter_forward, cosine_project, cosine_eigenvalue
+from .ou_process import OUPath, _cumtrapz, _decay_scan
+from .spectral_core import GridFunction, cosine_project, cosine_eigenvalue
 from .eff_diffusivity import EigenData
 from .invariant_measure import moment_function
 
@@ -78,8 +78,12 @@ def exp_weighted_integral(path: OUPath, lam: float) -> np.ndarray:
     """J(t_k) = int_0^{t_k} xi(s) e^{-lam s} int_0^s e^{lam tau} xi(tau) dtau ds,
     evaluated stably through the running mode amplitude q (xi linear on
     each step)."""
-    xi = path.xi
-    return _cumtrapz(xi * _decay_filter_forward(xi, path.dt, lam), path.dt)
+    xi, dt = path.xi, path.dt
+    eps, one_minus = math.exp(-lam * dt), -math.expm1(-lam * dt)
+    w_left = one_minus / (lam * lam * dt) - eps / lam
+    w_right = 1.0 / lam - one_minus / (lam * lam * dt)
+    inp = np.concatenate(([0.0], w_left * xi[:-1] + w_right * xi[1:]))
+    return _cumtrapz(xi * _decay_scan(inp, eps), dt)
 
 
 def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> ArisRecord:

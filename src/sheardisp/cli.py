@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .ou_process import OUParams, sample_ou, time_grid
@@ -137,6 +138,8 @@ def _write_manifest(outdir: Path, cfg: dict, extra: dict | None = None) -> None:
         "config": doc,
         "config_sha256": hashlib.sha256(payload).hexdigest(),
         "package_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if extra:

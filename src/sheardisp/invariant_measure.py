@@ -66,7 +66,7 @@ def pdf_deterministic(z, beta: float):
     Continuous at 0 for beta <= 1, divergent there for beta > 1 (a
     feature, not an error); always a logarithmic divergence at z = 1.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     z_arr = np.asarray(z, dtype=float)
     if np.any((z_arr <= 0.0) | (z_arr >= 1.0)):
@@ -76,7 +76,7 @@ def pdf_deterministic(z, beta: float):
 
 def cdf_deterministic(z, beta: float):
     """Closed-form CDF erfc(sqrt(-log(z)/beta)) of the rescaled scalar."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     z_arr = np.clip(np.asarray(z, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore"):
@@ -87,8 +87,8 @@ def cdf_deterministic(z, beta: float):
 def moment_function(s: float, beta: float) -> float:
     """mu(s) = <Ttilde^s> = (s beta + 1)^{-1/2}, the N-th moment formula
     continued off the integers."""
-    if s * beta + 1.0 <= 0.0:
-        raise ValueError(f"moment function pole crossed: s*beta+1 = {s * beta + 1.0}")
+    if not s * beta + 1.0 > 0.0:            # also rejects a NaN s or beta
+        raise ValueError(f"moment function needs s*beta + 1 > 0, got s={s!r}, beta={beta!r}")
     return (s * beta + 1.0) ** -0.5
 
 
@@ -138,7 +138,7 @@ def reconstruct_pdf_from_moments(beta: float, z_grid):
     validated in the test suite on the analytic pair
     L^{-1}((s+1)^{-1/2})(w) = e^{-w}/sqrt(pi w).
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     z = np.asarray(z_grid, dtype=float)
     if np.any((z <= 0.0) | (z >= 1.0)):

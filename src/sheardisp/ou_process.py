@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,39 @@ def _grid_step(t: np.ndarray) -> float:
 def _draw_ou_values(gamma: float, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     decay, var = transition_moments(gamma, _grid_step(t))
     normals = rng.standard_normal(t.size)
-    # first-order recurrence xi_k = decay*xi_{k-1} + noise_k at C speed
     inp = np.concatenate(([np.sqrt(0.5 * gamma) * normals[0]], np.sqrt(var) * normals[1:]))
-    return lfilter([1.0], [1.0, -decay], inp)
+    return _decay_scan(inp, decay)
+
+
+@lru_cache(maxsize=64)
+def _scan_weights(d: float, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d^j, d^-j) for j = 0..length-1; d^-j stays below e^200."""
+    j = np.arange(length, dtype=float)
+    up, down = d**j, d**-j
+    up.flags.writeable = down.flags.writeable = False   # shared through the cache
+    return up, down
+
+
+def _decay_scan(inp: np.ndarray, d: float) -> np.ndarray:
+    """y_k = d y_{k-1} + inp_k from y_{-1} = 0, for 0 <= d <= 1, scanned at
+    once in m even blocks of L <= ceil(200/|ln d|) nodes (one if d rounds to
+    1) as y_j = d^j cumsum(inp_i d^-i) plus d^(j+1) times the previous
+    block's last local value; the carry from two blocks back, below
+    d^L < e^-100, is dropped."""
+    n = inp.size
+    if d == 0.0:
+        return inp.copy()
+    log_d = -math.log(d)
+    m = 1 if log_d == 0.0 else -(-n // math.ceil(200.0 / log_d))
+    up, down = _scan_weights(d, -(-n // m))
+    blocks = np.zeros((m, up.size))
+    blocks.reshape(-1)[:n] = inp
+    blocks *= down
+    np.cumsum(blocks, axis=1, out=blocks)
+    if m > 1:
+        blocks[1:] += (d * up[-1]) * blocks[:-1, -1:]
+    blocks *= up
+    return blocks.ravel()[:n]
 
 
 def sample_ou(params: OUParams, t_grid: np.ndarray, seed: int,

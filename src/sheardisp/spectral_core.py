@@ -29,7 +29,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval, hermvander
 from scipy.integrate import cumulative_simpson
-from scipy.signal import lfilter
+from scipy.special import gammainc
+
+from .ou_process import _decay_scan
 
 
 class SolvabilityError(ValueError):
@@ -140,30 +142,26 @@ def cumint(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Helmholtz / Laplace inverses
 # ---------------------------------------------------------------------------
 
-# Up to this s = sqrt(lambda) the kernel integral rescales by exp(s*y) <= e^12;
-# above it the exponential step filter takes over.
-_LARGE_S = 12.0
+# C[c, i, k]: k! times the coefficient of u^k (u = 1 - t) in the Lagrange
+# basis polynomial of node i of the cubic through four neighbouring nodes at
+# offsets t (in steps from the step's left node) {0..3} on the first step
+# (c = 0), {-1..2} inside (c = 1) and {-2..1} on the last step (c = 2)
+_POWERS = np.arange(4.0)
+_CUBIC_COEFFS = np.array([np.linalg.inv(np.vander(1.0 - np.arange(o, o + 4.0), 4, increasing=True)).T
+                          for o in (0.0, -1.0, -2.0)]) * [1.0, 1.0, 2.0, 6.0]
 
 
-def _decay_filter_forward(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
-    """F(y_k) = int_0^{y_k} exp(-s (y_k - q)) a(q) dq, a linear per step."""
-    eps = np.exp(-s * h)
-    one_minus = -np.expm1(-s * h)
-    w_left = one_minus / (s * s * h) - eps / s
-    w_right = 1.0 / s - one_minus / (s * s * h)
-    inp = np.empty_like(a_vals)
-    inp[0] = 0.0
-    inp[1:] = w_left * a_vals[:-1] + w_right * a_vals[1:]
-    return lfilter([1.0], [1.0, -eps], inp)
-
-
-def _decay_integral(a_vals: np.ndarray, y: np.ndarray, s: float) -> np.ndarray:
-    """F(y) = int_0^y exp(-s (y - q)) a(q) dq: exp(-s y) times the cumulative
-    Simpson integral of exp(s q) a(q) (fourth order, no cancellation) up to
-    s = _LARGE_S, the exponential step filter (second order) above it."""
-    if s > _LARGE_S:
-        return _decay_filter_forward(a_vals, y[1] - y[0], s)
-    return np.exp(-s * y) * cumint(np.exp(s * y) * a_vals, y)
+def _decay_integral(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
+    """F(y_k) = int_0^{y_k} exp(-s (y_k - q)) a(q) dq, fourth order at every
+    s > 0: each step takes the kernel exactly against the cubic through four
+    neighbouring nodes, by the moments int_0^1 exp(-x u) u^k du
+    = k! P(k + 1, x)/x^(k + 1), x = s h (P the regularized incomplete gamma
+    function), and the decay scan F_k = exp(-x) F_{k-1} + step_k sums them."""
+    x = s * h
+    w = h * (_CUBIC_COEFFS @ (gammainc(_POWERS + 1.0, x) / x ** (_POWERS + 1.0)))
+    inp = np.concatenate(([0.0, w[0] @ a_vals[:4]], np.correlate(a_vals, w[1], "valid"),
+                          [w[2] @ a_vals[-4:]]))
+    return _decay_scan(inp, math.exp(-x))
 
 
 def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
@@ -178,7 +176,9 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
 
     where the walls only choose (alpha, beta):
     no-flux (B(0) + E F(1), F(1) + E B(0)) / (1 - E^2),
-    periodic (F(1), B(0)) / (1 - E).
+    periodic (F(1), B(0)) / (1 - E).  Both walls give lam mean(b) = mean(a),
+    which sets b's constant mode, where the walls would otherwise amplify
+    the quadrature error of F(1) and B(0) by 1/lam as lam -> 0.
 
     lam = 0 needs zero-mean data (else SolvabilityError) and returns
     -D(y), D(y) = int_0^y int_0^{y1} a; periodic walls add D(1) y + D(1),
@@ -198,8 +198,8 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
             b = b + second[-1] * y + second[-1]
         return a.with_values(b)
     s = np.sqrt(lam)
-    fwd = _decay_integral(a.values, y, s)
-    bwd = _decay_integral(a.values[::-1], y, s)[::-1]
+    fwd = _decay_integral(a.values, a.h, s)
+    bwd = _decay_integral(a.values[::-1], a.h, s)[::-1]
     f1, b0, e = fwd[-1], bwd[0], np.exp(-s)
     if bc == "no-flux":
         d = -np.expm1(-2.0 * s)             # 1 - E^2
@@ -207,8 +207,9 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
     else:
         d = -np.expm1(-s)                   # 1 - E
         alpha, beta = f1 / d, b0 / d
-    b = fwd + bwd + alpha * np.exp(-s * y) + beta * np.exp(-s * (1.0 - y))
-    return a.with_values(b / (2.0 * s))
+    b = a.with_values((fwd + bwd + alpha * np.exp(-s * y) + beta * np.exp(-s * (1.0 - y)))
+                      / (2.0 * s))
+    return b.with_values(b.values + (a.mean() / lam - b.mean()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import sheardisp
 from sheardisp.cli import main
 from sheardisp.eff_diffusivity import lambda_multiplicative, lambda_white, linear_profile
 
@@ -11,6 +17,19 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_import_leaves_out_scipy_signal():
+    # in a fresh interpreter, importing the CLI loads neither scipy.signal
+    # nor scipy.stats, which would add ~0.4-0.8 s to every start-up
+    src = str(Path(sheardisp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, sheardisp.cli; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestKappaEff:
@@ -128,6 +147,9 @@ class TestAris:
         mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
         ma["config"].pop("outdir"), mb["config"].pop("outdir")
         assert ma["config"] == mb["config"]
+        for m in (ma, mb):
+            assert m["numpy_version"] == np.__version__
+            assert m["scipy_version"] == scipy.__version__
 
 
 class TestSimulate:

@@ -92,6 +92,24 @@ class TestMultiplicative:
         with pytest.raises(ValueError):
             lambda_multiplicative(linear_profile(), -1.0, 1.0)
 
+    @staticmethod
+    def _cosine_enhancement_error(gamma, n):
+        """Relative error of kappa - 1 against Pe^2 gamma/(4(gamma + pi^2))."""
+        pe = 10.0
+        eig = lambda_multiplicative(cosine_profile(1, n), gamma, pe)
+        return (eig.kappa_eff - 1.0) / (pe**2 * gamma / (4 * (gamma + math.pi**2))) - 1.0
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0, 144.0, 1e4, 1e6])
+    def test_cosine_enhancement_every_gamma(self, gamma):
+        # -2.1e-11 at n = 512 for every gamma (stiff gamma included)
+        assert abs(self._cosine_enhancement_error(gamma, 512)) < 1e-9
+
+    def test_cosine_enhancement_fourth_order(self):
+        # halving h divides the error by 15.6 at gamma = 1e4 (2^4 = 16)
+        ratio = (self._cosine_enhancement_error(1e4, 256)
+                 / self._cosine_enhancement_error(1e4, 512))
+        assert ratio >= 12.0
+
     def test_white_noise_gap_monotone(self):
         u = linear_profile()
         white = lambda_white(u, 1.0).kappa_eff

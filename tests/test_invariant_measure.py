@@ -71,8 +71,11 @@ class TestDeterministicPdf:
             pdf_deterministic(0.0, 1.0)
         with pytest.raises(ValueError):
             pdf_deterministic(1.0, 1.0)
-        with pytest.raises(ValueError):
-            pdf_deterministic(0.5, -1.0)
+        for beta in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                pdf_deterministic(0.5, beta)
+            with pytest.raises(ValueError, match="beta must be positive"):
+                cdf_deterministic(0.5, beta)
 
     def test_cdf_is_antiderivative(self):
         beta = 0.7
@@ -106,8 +109,9 @@ class TestMomentFunction:
         assert moment_function(3.0, 1.0) == pytest.approx(0.5)
 
     def test_pole_guard(self):
-        with pytest.raises(ValueError):
-            moment_function(-2.0, 1.0)
+        for s, beta in ((-2.0, 1.0), (1.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                moment_function(s, beta)
 
     @given(st.floats(min_value=0.05, max_value=5.0),
            st.integers(min_value=1, max_value=6))
@@ -152,7 +156,7 @@ class TestReconstruction:
     def test_grid_domain(self):
         with pytest.raises(ValueError):
             reconstruct_pdf_from_moments(1.0, np.array([0.0, 0.5]))
-        for beta in (0.0, -1.0):
+        for beta in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="beta must be positive"):
                 reconstruct_pdf_from_moments(beta, 0.5)
 

@@ -7,6 +7,7 @@ import pytest
 from sheardisp.ou_process import (
     OUParams,
     OUPath,
+    _decay_scan,
     integral_variance,
     sample_brownian_scaled,
     sample_ou,
@@ -195,3 +196,47 @@ def test_csv_export(tmp_path):
     assert data.shape == (5, 3)
     assert np.allclose(data[:, 0], p.times)
     assert np.allclose(data[:, 1], p.values)
+
+
+_SCAN_DECAYS = [0.0, 1e-20, math.exp(-45), math.exp(-4), math.exp(-0.4), 0.99, 0.995,
+                1 - 1e-5, 1 - 1e-9]
+
+
+def _scan_lengths(d):
+    """1, L - 1, L, L + 1 around the block length L = ceil(200/|ln d|) where
+    it is short enough, and a long path."""
+    log_d = -math.log(d) if d > 0.0 else math.inf
+    length = math.ceil(200.0 / log_d) if log_d > 0.0 else 80_000
+    edges = [length - 1, length, length + 1] if length < 80_000 else []
+    return sorted({1, *(n for n in edges if n >= 1), 80_001})
+
+
+class TestDecayScan:
+    """The blocked scan against the first-order filter and a plain loop."""
+
+    @pytest.mark.parametrize("d", _SCAN_DECAYS)
+    def test_matches_lfilter(self, d):
+        from scipy.signal import lfilter
+        rng = np.random.default_rng(11)
+        for n in _scan_lengths(d):
+            inp = rng.standard_normal(n)
+            ref = lfilter([1.0], [1.0, -d], inp)
+            assert np.max(np.abs(_decay_scan(inp, d) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", _SCAN_DECAYS + [math.nextafter(1.0, 0.0), 1.0])
+    def test_matches_loop(self, d):
+        rng = np.random.default_rng(12)
+        for n in (m for m in _scan_lengths(d) if m <= 2_000):
+            inp = rng.standard_normal(n)
+            ref, acc = np.empty(n), 0.0
+            for k in range(n):
+                acc = d * acc + inp[k]
+                ref[k] = acc
+            assert np.max(np.abs(_decay_scan(inp, d) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_leaves_input_alone(self):
+        inp = np.arange(5.0)
+        out = _decay_scan(inp, 0.0)
+        out[0] = 9.0
+        assert np.array_equal(inp, np.arange(5.0))
+        assert np.array_equal(_decay_scan(inp, 0.5), [0.0, 1.0, 2.5, 4.25, 6.125])

@@ -101,20 +101,20 @@ class TestHelmholtzNeumann:
             helmholtz_inverse(a, -1.0, "no-flux")
 
     def test_boundary_conditions(self):
-        # data that is not itself periodic; lam = 400 runs the s > 12 branch
+        # data that is not itself periodic; lam = 400 is a stiff wavenumber
         a = GridFunction.from_callable(lambda y: y**2 + np.sin(3 * y), 1024)
         for lam in (2.5, 400.0):
             b = helmholtz_inverse(a, lam, "no-flux")
             d0, d1 = _wall_derivatives(b)
             assert abs(d0) < 1e-4 and abs(d1) < 1e-4
 
-    def test_scaled_branch_eigenfunction(self):
-        # large lambda goes through the overflow-free kernel path
+    def test_large_lambda_eigenfunction(self):
+        # s = 1000: the kernel decays within half a step, and cannot overflow
         a = GridFunction.from_callable(lambda y: np.cos(np.pi * y), 512)
         lam = 1e6
         b = helmholtz_inverse(a, lam, "no-flux")
         rel = np.max(np.abs(b.values - a.values / (lam + np.pi**2))) * (lam + np.pi**2)
-        assert rel < 1e-5
+        assert rel < 1e-9
 
 
 class TestHelmholtzPeriodic:
@@ -193,12 +193,27 @@ def test_residual_second_order(bc):
 @pytest.mark.parametrize("bc, k", [("no-flux", np.pi), ("periodic", 2 * np.pi)],
                          ids=["no-flux", "periodic"])
 def test_eigenfunction_near_switch(bc, k):
-    # s = 11.9 sits just below the s = 12 switch, where a cosh/sinh split
-    # of the kernel cancels like exp(2s)*eps (2.7e-6 and 1.9e-6 here)
+    # s = 11.9, where a cosh/sinh split of the kernel would cancel like
+    # exp(2s)*eps (2.7e-6 and 1.9e-6 here)
     a = GridFunction.from_callable(lambda y: np.cos(k * y), 2048)
     lam = 11.9**2
     b = helmholtz_inverse(a, lam, bc)
     assert np.max(np.abs(b.values * (lam + k**2) - a.values)) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2, 1.0, 100.0, 144.0, 145.0, 1e4, 1e6, 1e10])
+@pytest.mark.parametrize("bc, k, bound", [("no-flux", np.pi, 1e-9),
+                                          ("periodic", 2 * np.pi, 5e-9)],
+                         ids=["no-flux", "periodic"])
+def test_eigenfunction_every_lambda(bc, k, bound, lam):
+    # one fourth-order kernel integral at every s: 2e-12 to 3e-11 (no-flux)
+    # and 3e-11 to 1.4e-9 (periodic) at n = 512.  lam = 1e10 puts s h = 195,
+    # where a 16-point Gauss-Legendre rule for the step weights is off by
+    # 3e-2; at lam <= 1e-4 the walls amplify the error of F(1) and B(0) by
+    # 1/lam (periodic 1.5e-6 at 1e-4) unless lam mean(b) = mean(a) fixes b's mean
+    a = GridFunction.from_callable(lambda y: np.cos(k * y), 512)
+    b = helmholtz_inverse(a, lam, bc)
+    assert np.max(np.abs(b.values * (lam + k**2) - a.values)) < bound
 
 
 def _unit_series(n: int) -> HermiteSeries:
