@@ -33,13 +33,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .ou_process import OUParams, sample_ou, time_grid
+from .ou_process import OUParams, _step_count, sample_ou, time_grid
 from .spectral_core import GridFunction
 from .eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, taylor_steady,
     linear_profile, cosine_profile,
 )
-from .aris_solver import MIN_WINDOW, solve_aris, kappa_from_realization, estimate_gamma
+from .aris_solver import (
+    MIN_WINDOW, EstimatorDomainError, solve_aris, kappa_from_realization, estimate_gamma,
+)
 from .monte_carlo import SimConfig, InitialData, simulate_forward
 from .invariant_measure import (
     pdf_deterministic, cdf_deterministic, pdf_random_wave, cdf_random_wave,
@@ -48,8 +50,8 @@ from . import acceptance
 
 
 def _load_profile(spec: str) -> GridFunction:
-    """Flow presets 'linear', 'cosine', 'cosine:k', or a CSV of (y, u) rows
-    with y increasing; 512 intervals."""
+    """Flow presets 'linear', 'cosine', 'cosine:k', or a CSV of finite (y, u)
+    rows with y increasing from <= 0 to >= 1; 512 intervals."""
     if spec == "linear":
         return linear_profile()
     if spec == "cosine":
@@ -65,9 +67,14 @@ def _load_profile(spec: str) -> GridFunction:
         raise SystemExit(f"flow spec {spec!r}: {exc}") from None
     if data.shape[0] < 2 or data.shape[1] < 2:
         raise SystemExit(f"flow spec {spec!r}: need at least two rows of y,u values")
-    if np.any(np.diff(data[:, 0]) <= 0):
+    if not np.isfinite(data[:, :2]).all():
+        raise SystemExit(f"flow spec {spec!r}: y and u must be finite")
+    y, u = data[:, 0], data[:, 1]
+    if np.any(np.diff(y) <= 0):
         raise SystemExit(f"flow spec {spec!r}: y must increase strictly down the rows")
-    return GridFunction.from_callable(lambda grid: np.interp(grid, data[:, 0], data[:, 1]))
+    if y[0] > 0.0 or y[-1] < 1.0:
+        raise SystemExit(f"flow spec {spec!r}: y must cover the channel [0, 1]")
+    return GridFunction.from_callable(lambda grid: np.interp(grid, y, u))
 
 
 _NOT_FIELDS = ("config", "func", "command", "subparser")
@@ -114,21 +121,46 @@ def _check_kind(key: str, value, action: argparse.Action) -> None:
         raise SystemExit(f"config field {key}={value!r} is not {kind}")
 
 
+# dest -> (argparse keywords, range rule); a subcommand may override the default.
+# Every rule is a lower bound, so NaN and -inf fail it; +inf fails `< math.inf`.
+_FLAGS = {
+    "seed": (dict(type=int, default=0), lambda v: v >= 0),
+    "outdir": (dict(help="output directory (default ./runs, or $SHEARDISP_OUTDIR)"), None),
+    "threads": (dict(type=int, default=1, help="thread pool for independent realizations; "
+                     "outputs are identical for any value"), lambda v: v >= 1),
+    "flow": (dict(default="linear"), None),
+    "steady": (dict(action="store_true"), None),
+    "white_noise": (dict(action="store_true"), None),
+    "gamma": (dict(type=float, default=1.0), lambda v: v > 0),
+    "pe": (dict(type=float, default=1.0), lambda v: v >= 0),
+    "bc": (dict(choices=["no-flux", "periodic"], default="no-flux"), None),
+    "t_end": (dict(type=float), lambda v: v > 0),
+    "dt": (dict(type=float), lambda v: v > 0),
+    "particles": (dict(type=int, default=20_000), lambda v: v >= 1),
+    "realizations": (dict(type=int, default=1), lambda v: v >= 1),
+    "n_modes": (dict(type=int, default=8), lambda v: v >= 1),
+    "init_s": (dict(type=float, help="gaussian initial variance (default: delta line source)"),
+               lambda v: v > 0),
+    "bins": (dict(type=int), lambda v: v >= 2),
+    "mode": (dict(choices=["deterministic", "random-wave"], default="deterministic"), None),
+    "beta": (dict(type=float, default=1.0), lambda v: v > 0),
+    "paths": (dict(type=int, default=20), lambda v: v >= 1),
+    "mode_index": (dict(type=int, default=1), lambda v: v >= 1),
+    "only": (dict(help="comma-separated criterion numbers"), None),
+}
+
+
 def _validate_ranges(cfg: dict) -> None:
-    """Range rules for the numeric fields."""
-    rules = {
-        "gamma": lambda v: v > 0, "pe": lambda v: v >= 0,
-        "t_end": lambda v: v > 0, "dt": lambda v: v > 0,
-        "particles": lambda v: v >= 1, "realizations": lambda v: v >= 1,
-        "paths": lambda v: v >= 1, "bins": lambda v: v >= 2,
-        "beta": lambda v: v > 0, "n_modes": lambda v: v >= 1,
-        "mode_index": lambda v: v >= 1, "init_s": lambda v: v > 0,
-        "seed": lambda v: v >= 0, "threads": lambda v: v >= 1,
-    }
-    for key, ok in rules.items():
-        value = cfg.get(key)
-        if value is not None and not ok(value):
+    """Range rules from _FLAGS, finite numbers, t_end a whole number of dt steps."""
+    for key, value in cfg.items():
+        if (ok := _FLAGS[key][1]) and value is not None and not (ok(value) and value < math.inf):
             raise SystemExit(f"config field {key}={value!r} out of range")
+    if "dt" in cfg:
+        try:
+            _step_count(cfg["t_end"], cfg["dt"])
+        except ValueError:
+            raise SystemExit(f"config field t_end={cfg['t_end']!r} is not a whole number "
+                             f"of dt={cfg['dt']!r} steps") from None
 
 
 def _write_manifest(outdir: Path, cfg: dict, extra: dict | None = None) -> None:
@@ -171,7 +203,7 @@ def _map_realizations(fn, n: int, threads: int) -> list:
 def cmd_kappa_eff(cfg: dict) -> int:
     u = _load_profile(cfg["flow"])
     record = {"flow": cfg["flow"], "bc": cfg["bc"], "pe": cfg["pe"]}
-    if cfg.get("white_noise"):
+    if cfg["white_noise"]:
         eig = lambda_white(u, cfg["pe"])
         record["mode"] = "white-noise"
     else:
@@ -230,9 +262,9 @@ def cmd_aris(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     u = _load_profile(cfg["flow"])
     out = _outdir(cfg)
-    flow = (FlowSpec.steady(u, cfg["bc"]) if cfg.get("steady")
+    flow = (FlowSpec.steady(u, cfg["bc"]) if cfg["steady"]
             else FlowSpec.multiplicative(u, cfg["bc"]))
-    init = (InitialData.gaussian(cfg["init_s"]) if cfg.get("init_s") is not None
+    init = (InitialData.gaussian(cfg["init_s"]) if cfg["init_s"] is not None
             else InitialData.delta_line())
     sim = SimConfig(dt=cfg["dt"], n_particles=cfg["particles"], seed=cfg["seed"],
                     pe=cfg["pe"])
@@ -240,7 +272,7 @@ def cmd_simulate(cfg: dict) -> int:
     keeper = {}
 
     def one(i: int) -> dict:
-        path = (None if cfg.get("steady")
+        path = (None if cfg["steady"]
                 else sample_ou(OUParams(cfg["gamma"]), grid, seed=cfg["seed"], realization=i))
         res = simulate_forward(flow, cfg["gamma"], init, cfg["t_end"], sim,
                                path, keep_positions=(i == 0), realization=i)
@@ -299,7 +331,10 @@ def cmd_estimate_gamma(cfg: dict) -> int:
     ghats = []
     for i in range(cfg["paths"]):
         path = sample_ou(OUParams(cfg["gamma"]), grid, seed=cfg["seed"], realization=i)
-        ghats.append(estimate_gamma(path, cfg["mode_index"]))
+        try:
+            ghats.append(estimate_gamma(path, cfg["mode_index"]))
+        except EstimatorDomainError as exc:
+            raise SystemExit(f"estimate-gamma path {i}: {exc}") from None
     record = {
         "true_gamma": cfg["gamma"],
         "paths": cfg["paths"],
@@ -314,7 +349,7 @@ def cmd_estimate_gamma(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
-    names = cfg.get("only")
+    names = cfg["only"]
     results = acceptance.run_all(names.split(",") if names else None)
     failed = [r for r in results if not r.passed]
     print(f"\n{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -325,6 +360,23 @@ def cmd_validate(cfg: dict) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+# subcommand -> (handler, help, defaults that differ from _FLAGS, flags it reads)
+_COMMANDS = {
+    "kappa-eff": (cmd_kappa_eff, "closed-form effective diffusivity", {},
+                  "flow gamma pe bc white_noise"),
+    "aris": (cmd_aris, "pathwise Aris moment records (no-flux walls)", dict(t_end=200.0, dt=0.005),
+             "seed outdir threads flow gamma pe t_end dt realizations n_modes"),
+    "simulate": (cmd_simulate, "forward particle Monte Carlo", dict(t_end=50.0, dt=0.01, bins=100),
+                 "seed outdir threads flow steady gamma pe bc t_end dt particles realizations "
+                 "init_s bins"),
+    "pdf": (cmd_pdf, "analytic invariant-measure tables", dict(bins=200), "outdir mode beta bins"),
+    "estimate-gamma": (cmd_estimate_gamma, "damping estimator over an OU ensemble",
+                       dict(gamma=5.0, t_end=500.0, dt=0.005),
+                       "seed gamma t_end dt paths mode_index"),
+    "validate": (cmd_validate, "run the acceptance suite", {}, "only"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sheardisp",
@@ -332,77 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "Aris moments, invariant measures, Monte Carlo.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = {
-        "seed": dict(type=int, default=0),
-        "outdir": dict(default=None, help="output directory (default ./runs, or $SHEARDISP_OUTDIR)"),
-        "threads": dict(type=int, default=1,
-                        help="thread pool for independent realizations; outputs are identical for any value"),
-    }
-
-    def common(p, *flags):
+    for name, (func, about, defaults, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON config document; flags override fields")
-        p.set_defaults(subparser=p)
-        for flag in flags:
-            p.add_argument(f"--{flag}", **shared[flag])
-
-    p = sub.add_parser("kappa-eff", help="closed-form effective diffusivity")
-    common(p)
-    p.add_argument("--flow", default="linear")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--pe", type=float, default=1.0)
-    p.add_argument("--bc", choices=["no-flux", "periodic"], default="no-flux")
-    p.add_argument("--white-noise", action="store_true", dest="white_noise")
-    p.set_defaults(func=cmd_kappa_eff)
-
-    p = sub.add_parser("aris", help="pathwise Aris moment records (no-flux walls)")
-    common(p, "seed", "outdir", "threads")
-    p.add_argument("--flow", default="linear")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--pe", type=float, default=1.0)
-    p.add_argument("--t-end", type=float, default=200.0, dest="t_end")
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--realizations", type=int, default=1)
-    p.add_argument("--n-modes", type=int, default=8, dest="n_modes")
-    p.set_defaults(func=cmd_aris)
-
-    p = sub.add_parser("simulate", help="forward particle Monte Carlo")
-    common(p, "seed", "outdir", "threads")
-    p.add_argument("--flow", default="linear")
-    p.add_argument("--steady", action="store_true")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--pe", type=float, default=1.0)
-    p.add_argument("--bc", choices=["no-flux", "periodic"], default="no-flux")
-    p.add_argument("--t-end", type=float, default=50.0, dest="t_end")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--particles", type=int, default=20_000)
-    p.add_argument("--realizations", type=int, default=1)
-    p.add_argument("--init-s", type=float, default=None, dest="init_s",
-                   help="gaussian initial variance (default: delta line source)")
-    p.add_argument("--bins", type=int, default=100)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("pdf", help="analytic invariant-measure tables")
-    common(p, "outdir")
-    p.add_argument("--mode", choices=["deterministic", "random-wave"], default="deterministic")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=200)
-    p.set_defaults(func=cmd_pdf)
-
-    p = sub.add_parser("estimate-gamma", help="damping estimator over an OU ensemble")
-    common(p, "seed")
-    p.add_argument("--gamma", type=float, default=5.0)
-    p.add_argument("--t-end", type=float, default=500.0, dest="t_end")
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--paths", type=int, default=20)
-    p.add_argument("--mode-index", type=int, default=1, dest="mode_index")
-    p.set_defaults(func=cmd_estimate_gamma)
-
-    p = sub.add_parser("validate", help="run the acceptance suite")
-    common(p)
-    p.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    p.set_defaults(func=cmd_validate)
-
+        for dest in flags.split():
+            p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest][0])
+        p.set_defaults(func=func, subparser=p, **defaults)
     return parser
 
 

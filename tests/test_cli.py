@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import scipy
 
 import sheardisp
-from sheardisp.cli import main
+from sheardisp.cli import build_parser, main
 from sheardisp.eff_diffusivity import lambda_multiplicative, lambda_white, linear_profile
 
 
@@ -76,8 +77,12 @@ class TestKappaEff:
         (tmp_path / "one_row.csv").write_text("0.5,1.0\n")
         (tmp_path / "header.csv").write_text("y,u\n0,0\n1,1\n")
         (tmp_path / "descending.csv").write_text("1,1\n0.5,0.5\n0,0\n")
+        y = np.linspace(0.2, 0.8, 61)   # u = y on part of the channel only
+        np.savetxt(tmp_path / "partial.csv", np.column_stack([y, y]), delimiter=",")
+        (tmp_path / "nan.csv").write_text("0,0\n0.5,nan\n1,1\n")
         specs = ["no/such/file.csv", str(tmp_path / "one_row.csv"),
-                 str(tmp_path / "header.csv"), str(tmp_path / "descending.csv"), "cosine:x"]
+                 str(tmp_path / "header.csv"), str(tmp_path / "descending.csv"), "cosine:x",
+                 str(tmp_path / "partial.csv"), str(tmp_path / "nan.csv")]
         for spec in specs:
             with pytest.raises(SystemExit, match="flow spec"):
                 main(["kappa-eff", "--flow", spec])
@@ -102,11 +107,23 @@ class TestKappaEff:
         (["pdf"], {"mode": "bogus"}, "mode"),
         (["pdf"], {"outdir": 3}, "outdir"),
         (["validate"], {"only": 1}, "only"),
+        (["aris", "--t-end", "inf"], None, "t_end"),
+        (["aris", "--t-end", "20.003"], None, "t_end"),
+        (["simulate", "--t-end", "1.005", "--dt", "0.01"], None, "t_end"),
+        (["simulate", "--dt", "inf"], None, "dt"),
+        (["simulate", "--init-s", "inf"], None, "init_s"),
+        (["kappa-eff", "--pe", "inf"], None, "pe"),
+        (["kappa-eff", "--gamma", "inf"], None, "gamma"),
+        (["pdf", "--beta", "inf"], None, "beta"),
+        (["kappa-eff"], {"pe": float("nan")}, "pe"),
     ], ids=["negative-gamma", "mode-index-0", "string-gamma", "bool-pe",
             "init-s-0", "negative-init-s", "float-paths", "float-n-modes",
             "float-seed", "negative-seed", "zero-threads", "aris-short-t-end",
             "bogus-bc", "int-flow", "string-white-noise", "string-steady",
-            "bogus-pdf-mode", "int-outdir", "int-only"])
+            "bogus-pdf-mode", "int-outdir", "int-only", "infinite-t-end",
+            "aris-partial-step", "simulate-partial-step", "infinite-dt",
+            "infinite-init-s", "infinite-pe", "infinite-gamma", "infinite-beta",
+            "nan-pe-document"])
     def test_invalid_numeric_config(self, argv, doc, field, tmp_path):
         if doc is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -194,6 +211,13 @@ class TestEstimateGamma:
         assert abs(rec["gamma_hat_mean"] / 5.0 - 1.0) < 0.25
         assert len(rec["gamma_hats"]) == 6
 
+    def test_out_of_domain_path(self, capsys):
+        # over t_end = 0.5, paths 0-18 give a statistic in (0, 1/2) and path 19
+        # gives 0.83587: the run exits naming that path, before any output
+        with pytest.raises(SystemExit, match=r"estimate-gamma path 19: integral statistic 0\.83587 "):
+            main(["estimate-gamma", "--t-end", "0.5"])
+        assert capsys.readouterr().out == ""
+
 
 # (subcommand, flag it does not read) pairs; aris has no-flux walls only
 UNREAD_FLAGS = [
@@ -217,6 +241,82 @@ def test_unread_flag_is_rejected(argv, tmp_path, capsys):
         main([str(tmp_path) if a == "{out}" else a for a in argv])
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
+
+
+# every subcommand's actions: dest -> (option string, default, type, choices, nargs)
+_HELP = ("--help", argparse.SUPPRESS, None, None, 0)
+_CONFIG = ("--config", None, None, None, None)
+_BC = ("--bc", "no-flux", None, ["no-flux", "periodic"], None)
+PARSER = {
+    "kappa-eff": {
+        "help": _HELP, "config": _CONFIG,
+        "flow": ("--flow", "linear", None, None, None),
+        "gamma": ("--gamma", 1.0, float, None, None),
+        "pe": ("--pe", 1.0, float, None, None),
+        "bc": _BC,
+        "white_noise": ("--white-noise", False, None, None, 0),
+    },
+    "aris": {
+        "help": _HELP, "config": _CONFIG,
+        "seed": ("--seed", 0, int, None, None),
+        "outdir": ("--outdir", None, None, None, None),
+        "threads": ("--threads", 1, int, None, None),
+        "flow": ("--flow", "linear", None, None, None),
+        "gamma": ("--gamma", 1.0, float, None, None),
+        "pe": ("--pe", 1.0, float, None, None),
+        "t_end": ("--t-end", 200.0, float, None, None),
+        "dt": ("--dt", 0.005, float, None, None),
+        "realizations": ("--realizations", 1, int, None, None),
+        "n_modes": ("--n-modes", 8, int, None, None),
+    },
+    "simulate": {
+        "help": _HELP, "config": _CONFIG,
+        "seed": ("--seed", 0, int, None, None),
+        "outdir": ("--outdir", None, None, None, None),
+        "threads": ("--threads", 1, int, None, None),
+        "flow": ("--flow", "linear", None, None, None),
+        "steady": ("--steady", False, None, None, 0),
+        "gamma": ("--gamma", 1.0, float, None, None),
+        "pe": ("--pe", 1.0, float, None, None),
+        "bc": _BC,
+        "t_end": ("--t-end", 50.0, float, None, None),
+        "dt": ("--dt", 0.01, float, None, None),
+        "particles": ("--particles", 20_000, int, None, None),
+        "realizations": ("--realizations", 1, int, None, None),
+        "init_s": ("--init-s", None, float, None, None),
+        "bins": ("--bins", 100, int, None, None),
+    },
+    "pdf": {
+        "help": _HELP, "config": _CONFIG,
+        "outdir": ("--outdir", None, None, None, None),
+        "mode": ("--mode", "deterministic", None, ["deterministic", "random-wave"], None),
+        "beta": ("--beta", 1.0, float, None, None),
+        "bins": ("--bins", 200, int, None, None),
+    },
+    "estimate-gamma": {
+        "help": _HELP, "config": _CONFIG,
+        "seed": ("--seed", 0, int, None, None),
+        "gamma": ("--gamma", 5.0, float, None, None),
+        "t_end": ("--t-end", 500.0, float, None, None),
+        "dt": ("--dt", 0.005, float, None, None),
+        "paths": ("--paths", 20, int, None, None),
+        "mode_index": ("--mode-index", 1, int, None, None),
+    },
+    "validate": {
+        "help": _HELP, "config": _CONFIG,
+        "only": ("--only", None, None, None, None),
+    },
+}
+
+
+def test_parser_is_pinned():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(PARSER)
+    for name, sub in subparsers.choices.items():
+        actions = {a.dest: (a.option_strings[-1], sub.get_default(a.dest), a.type,
+                            a.choices, a.nargs) for a in sub._actions}
+        assert actions == PARSER[name], name
 
 
 class TestConfigDocument:
