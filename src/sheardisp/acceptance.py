@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ou_process import OUParams, sample_ou, time_grid, integral_variance
 from .spectral_core import (
@@ -232,6 +231,8 @@ def criterion_6_invariant_measure() -> CriterionResult:
 # --------------------------------------------------------------------------
 
 def criterion_7_random_wave() -> CriterionResult:
+    from scipy.integrate import quad
+
     t0 = time.time()
     samples = simulate_random_wave(a=0.5, pe=1.0, ubar=1.0, n=1_000_000, seed=99)
     est = ensemble_pdf(samples, bins=200)

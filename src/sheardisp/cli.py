@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy  # lazy top level: loads no submodule; the manifest records its version
 
 from . import __version__
 from .ou_process import OUParams, _step_count, sample_ou, time_grid
@@ -90,7 +90,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
     flag's type, so each field's kind is checked against its flag first.
     """
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise SystemExit(f"config file {args.config}: {exc.strerror or exc}") from None
+        except ValueError as exc:           # JSONDecodeError, UnicodeDecodeError
+            raise SystemExit(f"config file {args.config}: not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise SystemExit(f"config file {args.config}: not a JSON object of fields")
         unknown = sorted(k for k in doc if k in _NOT_FIELDS or k not in vars(args))
         if unknown:
             raise SystemExit(f"config fields not read by {args.command}: {', '.join(unknown)}")
@@ -349,8 +356,12 @@ def cmd_estimate_gamma(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
-    names = cfg["only"]
-    results = acceptance.run_all(names.split(",") if names else None)
+    names = cfg["only"].split(",") if cfg["only"] else None
+    unknown = [k for k in names or () if k not in acceptance.CRITERIA]
+    if unknown:
+        raise SystemExit(f"unknown criteria {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(acceptance.CRITERIA)}")
+    results = acceptance.run_all(names)
     failed = [r for r in results if not r.passed]
     print(f"\n{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0

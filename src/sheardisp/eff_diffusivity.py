@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .spectral_core import (
     GridFunction,
     HermiteSeries,
+    _inner_weights,
     hermite_norm,
     helmholtz_inverse,
 )
@@ -226,7 +226,9 @@ def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float) -> float:
     cum[izero:-1] = -np.cumsum(steps[izero:][::-1])[::-1]
     cum[-1] = 0.0
     outer = np.exp(z * z) * cum * cum
-    return 4.0 * pe**2 / (gamma * np.sqrt(np.pi)) * simpson(outer, x=z)
+    # the package's one rule, scaled from [0, 1] to [-z_max, z_max]
+    integral = 2.0 * _Z_MAX * np.sum(outer * _inner_weights(_N_Z))
+    return 4.0 * pe**2 / (gamma * np.sqrt(np.pi)) * integral
 
 
 def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float) -> EigenData:

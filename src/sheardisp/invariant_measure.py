@@ -15,6 +15,9 @@ reconstruction, the random-wave family against quadrature moments.
 All quadrature on the deterministic density goes through the
 substitution w = -log z, which maps (0,1) to (0,inf) and removes both
 endpoint singularities analytically (the integrand becomes Gamma-type).
+
+Each function imports the scipy it calls, so importing this module (and
+the CLI) loads no scipy submodule.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.special import erfc, k0e
 
 _TALBOT_NODES = 32       # fixed-Talbot contour points
 
@@ -76,6 +77,8 @@ def pdf_deterministic(z, beta: float):
 
 def cdf_deterministic(z, beta: float):
     """Closed-form CDF erfc(sqrt(-log(z)/beta)) of the rescaled scalar."""
+    from scipy.special import erfc
+
     if not beta > 0:
         raise ValueError("beta must be positive")
     z_arr = np.clip(np.asarray(z, dtype=float), 0.0, 1.0)
@@ -95,6 +98,8 @@ def moment_function(s: float, beta: float) -> float:
 def pdf_moment_quadrature(n: float, beta: float) -> float:
     """Independent check of moment_function: int z^n f(z) dz computed under
     w = -log z, then v = sqrt(w), leaving a plain Gaussian integral."""
+    from scipy.integrate import quad
+
     rate = n + 1.0 / beta
     val, _ = quad(lambda v: 2.0 * np.exp(-rate * v * v) / math.sqrt(math.pi * beta), 0.0, np.inf)
     return val
@@ -162,6 +167,8 @@ def pdf_random_wave(z):
     Symmetric, unit mass, variance 1/2, fourth moment 9/8 (kurtosis 9/2);
     logarithmically singular at z = 0, where +inf is returned.
     """
+    from scipy.special import k0e
+
     q = np.asarray(z, dtype=float) ** 2 / 4.0
     return (k0e(q) * np.exp(-2.0 * q) * _RW_NORM)[()]   # e^{-q} K0(q)
 
@@ -178,6 +185,9 @@ def _random_wave_cdf_table() -> tuple[np.ndarray, np.ndarray]:
     # z = 9 the tail is below e^{-40} and the table clamps.  P(Ttilde > z)
     # averages the tail of the conditional law N(0, cos^2 eta) over the
     # uniform phase, for every node in one vector quadrature.
+    from scipy.integrate import quad_vec
+    from scipy.special import erfc
+
     z = np.concatenate(([0.0], np.logspace(-6, np.log10(9.0), 1500)))
     tail, _ = quad_vec(lambda th: erfc(z / (math.sqrt(2.0) * math.cos(th))), 0.0, math.pi / 2.0)
     return z, tail / math.pi
@@ -212,6 +222,8 @@ def gaussian_variance_spectral(alpha: float, cutoff, kappa_eff: float, t: float,
     process.  ``h_max`` truncates the integration for compactly
     supported cutoffs.
     """
+    from scipy.integrate import quad
+
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1 for an integrable spectrum")
     if kappa_eff < 0 or t < 0:

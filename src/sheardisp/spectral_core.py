@@ -28,8 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval, hermvander
-from scipy.integrate import cumulative_simpson
-from scipy.special import gammainc
 
 from .ou_process import _decay_scan
 
@@ -133,32 +131,55 @@ def _inner_weights(n: int) -> np.ndarray:
     return w
 
 
-def cumint(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson antiderivative with F(x[0]) = 0."""
-    return np.concatenate(([0.0], cumulative_simpson(values, x=x)))
+def cumint(values: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative Simpson antiderivative with F(x[0]) = 0 on a uniform grid of
+    step h: interval i integrates the parabola through nodes i..i+2 when i is
+    even, (h/12)(5 f_i + 8 f_{i+1} - f_{i+2}), and through nodes i-1..i+1
+    when i is odd or the last, (h/12)(-f_{i-1} + 8 f_i + 5 f_{i+1})."""
+    f = np.asarray(values, dtype=float)
+    left = 5.0 * f[:-2] + 8.0 * f[1:-1] - f[2:]     # interval i, nodes i..i+2
+    right = -f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:]   # interval i+1, nodes i..i+2
+    steps = np.append(left, right[-1])
+    steps[1::2] = right[::2]
+    return np.concatenate(([0.0], np.cumsum(steps * (h / 12.0))))
 
 
 # ---------------------------------------------------------------------------
 # Helmholtz / Laplace inverses
 # ---------------------------------------------------------------------------
 
-# C[c, i, k]: k! times the coefficient of u^k (u = 1 - t) in the Lagrange
-# basis polynomial of node i of the cubic through four neighbouring nodes at
+# C[c, i, k]: the coefficient of u^k (u = 1 - t) in the Lagrange basis
+# polynomial of node i of the cubic through four neighbouring nodes at
 # offsets t (in steps from the step's left node) {0..3} on the first step
 # (c = 0), {-1..2} inside (c = 1) and {-2..1} on the last step (c = 2)
-_POWERS = np.arange(4.0)
 _CUBIC_COEFFS = np.array([np.linalg.inv(np.vander(1.0 - np.arange(o, o + 4.0), 4, increasing=True)).T
-                          for o in (0.0, -1.0, -2.0)]) * [1.0, 1.0, 2.0, 6.0]
+                          for o in (0.0, -1.0, -2.0)])
+# below x = 1, m_k(x) = sum_j (-x)^j / ((k + 1 + j) j!), 24 terms (1/24! < 1e-23)
+_J = np.arange(24.0)
+_SERIES = 1.0 / ((np.arange(4.0)[:, None] + 1.0 + _J)
+                 * np.array([math.factorial(j) for j in range(_J.size)], dtype=float))
+
+
+def _exp_moments(x: float) -> np.ndarray:
+    """m_k(x) = int_0^1 exp(-x u) u^k du for k = 0..3 and x > 0: the power
+    series below x = 1, where the recursion loses digits, else the upward
+    recursion m_0 = (1 - exp(-x))/x, m_k = (k m_{k-1} - exp(-x))/x."""
+    if x < 1.0:
+        return _SERIES @ (-x) ** _J
+    e = math.exp(-x)
+    m = [-math.expm1(-x) / x]
+    for k in (1.0, 2.0, 3.0):
+        m.append((k * m[-1] - e) / x)
+    return np.array(m)
 
 
 def _decay_integral(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
     """F(y_k) = int_0^{y_k} exp(-s (y_k - q)) a(q) dq, fourth order at every
     s > 0: each step takes the kernel exactly against the cubic through four
-    neighbouring nodes, by the moments int_0^1 exp(-x u) u^k du
-    = k! P(k + 1, x)/x^(k + 1), x = s h (P the regularized incomplete gamma
-    function), and the decay scan F_k = exp(-x) F_{k-1} + step_k sums them."""
+    neighbouring nodes, by the moments ``_exp_moments(s h)``, and the decay
+    scan F_k = exp(-x) F_{k-1} + step_k sums them."""
     x = s * h
-    w = h * (_CUBIC_COEFFS @ (gammainc(_POWERS + 1.0, x) / x ** (_POWERS + 1.0)))
+    w = h * (_CUBIC_COEFFS @ _exp_moments(x))
     inp = np.concatenate(([0.0, w[0] @ a_vals[:4]], np.correlate(a_vals, w[1], "valid"),
                           [w[2] @ a_vals[-4:]]))
     return _decay_scan(inp, math.exp(-x))
@@ -192,7 +213,7 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
     if lam == 0.0:
         if not a.is_zero_mean():
             raise SolvabilityError(f"{bc} inverse at lambda=0 needs zero-mean data")
-        second = cumint(cumint(a.values, y), y)
+        second = cumint(cumint(a.values, a.h), a.h)
         b = -second
         if bc == "periodic":
             b = b + second[-1] * y + second[-1]

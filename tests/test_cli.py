@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,17 +21,32 @@ def run_cli(args, capsys):
     return code, out
 
 
-def test_import_leaves_out_scipy_signal():
-    # in a fresh interpreter, importing the CLI loads neither scipy.signal
-    # nor scipy.stats, which would add ~0.4-0.8 s to every start-up
+_HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.special",
+                "scipy.optimize")
+
+
+def _heavy_scipy_loaded(code: str) -> str:
+    """Run code in a fresh interpreter and return which of _HEAVY_SCIPY it loaded."""
     src = str(Path(sheardisp.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, sheardisp.cli; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    probe = f"{code}; import sys; print(sorted(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_out_scipy_submodules():
+    # importing the CLI loads none of these, each of which would add
+    # 0.1-0.8 s to every start-up
+    assert _heavy_scipy_loaded("import sheardisp.cli") == "[]"
+
+
+def test_kappa_eff_run_leaves_out_scipy_submodules():
+    # the closed forms need numpy only, so the whole subcommand loads none either
+    code = ("from sheardisp.cli import main; "
+            "main(['kappa-eff', '--flow', 'cosine', '--gamma', '2', '--pe', '3'])")
+    assert _heavy_scipy_loaded(code) == "[]"
 
 
 class TestKappaEff:
@@ -219,6 +235,15 @@ class TestEstimateGamma:
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("only", ["99", "1,99", "1,"])
+def test_validate_rejects_unknown_criteria(only, capsys):
+    # raised before any criterion runs, naming the unknown key
+    bad = only.split(",")[-1]
+    with pytest.raises(SystemExit, match=re.escape(f"unknown criteria {bad!r}")):
+        main(["validate", "--only", only])
+    assert capsys.readouterr().out == ""
+
+
 # (subcommand, flag it does not read) pairs; aris has no-flux walls only
 UNREAD_FLAGS = [
     ["kappa-eff", "--seed", "1"],
@@ -333,6 +358,18 @@ class TestConfigDocument:
         assert json.loads(out_doc)["gamma"] == 2.0
         assert json.loads(out_override)["gamma"] == 5.0
         assert json.loads(out_default)["gamma"] == 1.0
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file"),
+        ("{gamma: 2}", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+    ], ids=["missing", "not-json", "json-list"])
+    def test_bad_document_names_the_file(self, content, reason, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        with pytest.raises(SystemExit, match=re.escape(f"config file {cfg_path}: {reason}")):
+            main(["kappa-eff", "--config", str(cfg_path)])
 
     def test_unread_field_is_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
+from scipy.special import gammainc
 
 from sheardisp.spectral_core import (
     GridFunction,
     HermiteSeries,
     SolvabilityError,
+    _exp_moments,
     cosine_project,
     cumint,
     helmholtz_inverse,
@@ -87,7 +89,8 @@ class TestHelmholtzNeumann:
         # independent oracle: -int_0^y int_0^{y1} a on a fine grid
         a = GridFunction.from_callable(lambda y: np.cos(np.pi * y), 512)
         b = helmholtz_inverse(a, 0.0, "no-flux")
-        oracle = -cumint(cumint(a.values, a.nodes), a.nodes)
+        first = cumulative_simpson(a.values, x=a.nodes, initial=0.0)
+        oracle = -cumulative_simpson(first, x=a.nodes, initial=0.0)
         assert np.max(np.abs(b.values - oracle)) < 1e-12
         # which matches the analytic (cos(pi y) - 1)/pi^2
         exact = (np.cos(np.pi * a.nodes) - 1.0) / np.pi**2
@@ -214,6 +217,24 @@ def test_eigenfunction_every_lambda(bc, k, bound, lam):
     a = GridFunction.from_callable(lambda y: np.cos(k * y), 512)
     b = helmholtz_inverse(a, lam, bc)
     assert np.max(np.abs(b.values * (lam + k**2) - a.values)) < bound
+
+
+def test_exp_moments_against_incomplete_gamma():
+    # int_0^1 exp(-x u) u^k du = k! P(k + 1, x) / x^(k + 1), both sides of
+    # the series/recursion switch at x = 1 included
+    x = np.concatenate((np.logspace(-9, 4, 400), [1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
+    k = np.arange(4.0)
+    oracle = gammainc(k + 1.0, x[:, None]) * [1.0, 1.0, 2.0, 6.0] / x[:, None] ** (k + 1.0)
+    mine = np.array([_exp_moments(xi) for xi in x])
+    assert np.max(np.abs(mine / oracle - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 513, 2048])
+def test_cumint_against_cumulative_simpson(n):
+    x = np.linspace(0.0, 1.0, n + 1)
+    f = np.sin(3.0 * x) + x**3
+    oracle = cumulative_simpson(f, x=x, initial=0.0)
+    assert np.max(np.abs(cumint(f, x[1] - x[0]) - oracle)) <= 1e-15
 
 
 def _unit_series(n: int) -> HermiteSeries:
