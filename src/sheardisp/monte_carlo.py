@@ -58,8 +58,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.n_particles < 1:
             raise ValueError("particle count must be >= 1")
-        if self.pe < 0:
-            raise ValueError("Pe must be nonnegative")
+        if not (math.isfinite(self.pe) and self.pe >= 0):
+            raise ValueError(f"pe must be finite and nonnegative, got {self.pe!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class InitialData:
 
     @classmethod
     def gaussian(cls, s: float) -> "InitialData":
-        if s <= 0:
-            raise ValueError("gaussian variance must be positive")
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"gaussian variance s must be finite and positive, got {s!r}")
         return cls("gaussian", s=s)
 
     @classmethod
@@ -291,6 +291,8 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
     """
     rng = np.random.default_rng(realization_seed(seed, 0))
     if paths is not None:
+        if not paths:
+            raise ValueError("paths must hold at least one OU path")
         t_end = paths[0].t_end
         if a * a * t_end > 0.1:
             warnings.warn(f"a^2 t = {a * a * t_end:.3g} > 0.1: outside the "

@@ -11,6 +11,8 @@ import pytest
 import scipy
 
 import sheardisp
+from sheardisp import acceptance
+from sheardisp.acceptance import Check
 from sheardisp.cli import build_parser, main
 from sheardisp.eff_diffusivity import lambda_multiplicative, lambda_white, linear_profile
 
@@ -242,6 +244,15 @@ def test_validate_rejects_unknown_criteria(only, capsys):
     with pytest.raises(SystemExit, match=re.escape(f"unknown criteria {bad!r}")):
         main(["validate", "--only", only])
     assert capsys.readouterr().out == ""
+
+
+def test_validate_failing_criterion_exits_1(monkeypatch, capsys):
+    failing = {"1": ("1-always-fails", lambda: [Check("err", 2.0, 1.0)])}
+    monkeypatch.setattr(acceptance, "CRITERIA", failing)
+    assert main(["validate", "--only", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  1-always-fails  ")
+    assert "err 2 <= 1 (2.00)" in out and out.rstrip().endswith("0/1 criteria passed")
 
 
 # (subcommand, flag it does not read) pairs; aris has no-flux walls only

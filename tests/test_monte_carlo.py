@@ -54,6 +54,21 @@ class TestConfigAndInitialData:
         with pytest.raises(ValueError):
             FlowSpec.multiplicative(linear_profile(), bc="slippery")
 
+    @pytest.mark.parametrize("pe", [math.nan, math.inf, -1.0])
+    def test_sim_config_rejects_bad_pe(self, pe):
+        with pytest.raises(ValueError, match="pe must be finite and nonnegative"):
+            SimConfig(pe=pe)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
+    def test_gaussian_rejects_bad_variance(self, s):
+        with pytest.raises(ValueError, match="variance s must be finite and positive"):
+            InitialData.gaussian(s)
+
+    @pytest.mark.parametrize("n", [None, 1000])
+    def test_random_wave_rejects_empty_paths(self, n):
+        with pytest.raises(ValueError, match="paths must hold at least one"):
+            simulate_random_wave(0.5, 1.0, 1.0, paths=[], n=n)
+
     def test_initial_data(self):
         with pytest.raises(ValueError):
             InitialData.gaussian(-1.0)

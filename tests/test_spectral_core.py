@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.special import gammainc
 
+from sheardisp.acceptance import _residual_order
 from sheardisp.spectral_core import (
     GridFunction,
     HermiteSeries,
@@ -172,20 +173,6 @@ def _wall_derivatives(b):
     d0 = (-3 * b.values[0] + 4 * b.values[1] - b.values[2]) / (2 * h)
     d1 = (3 * b.values[-1] - 4 * b.values[-2] + b.values[-3]) / (2 * h)
     return d0, d1
-
-
-def _residual_order(bc, lam):
-    sizes = (64, 128, 256, 512)
-    res = []
-    for n in sizes:
-        a = GridFunction.from_callable(
-            lambda y: np.cos(2 * np.pi * y) + y * np.sin(2 * np.pi * y), n)
-        b = helmholtz_inverse(a, lam, bc)
-        h = b.h
-        interior = (-(b.values[:-2] - 2 * b.values[1:-1] + b.values[2:]) / h**2
-                    + lam * b.values[1:-1] - a.values[1:-1])
-        res.append(np.max(np.abs(interior)))
-    return min(math.log(res[i] / res[i + 1]) / math.log(2) for i in range(3))
 
 
 @pytest.mark.parametrize("bc", ["no-flux", "periodic"])
