@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy  # lazy top level: loads no submodule; the manifest records its version
 
 from . import __version__
 from .ou_process import OUParams, _step_count, sample_ou, time_grid
@@ -171,6 +170,8 @@ def _validate_ranges(cfg: dict) -> None:
 
 
 def _write_manifest(outdir: Path, cfg: dict, extra: dict | None = None) -> None:
+    import scipy    # only for its version; loads no submodule
+
     doc = {k: v for k, v in sorted(cfg.items())}
     payload = json.dumps(doc, sort_keys=True).encode()
     manifest = {

@@ -36,3 +36,15 @@ def test_criterion(key):
     result = acceptance.run(key)
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_moment_check_reads_the_density(monkeypatch):
+    # criterion 8 integrates pdf_deterministic itself, so a density 1e-3 off
+    # in its exponent z^{1/beta - 1} fails the moment check
+    from sheardisp import invariant_measure
+    exact = invariant_measure.pdf_deterministic
+    monkeypatch.setattr(invariant_measure, "pdf_deterministic",
+                        lambda z, beta: exact(z, beta) * z**1e-3)
+    moments, *others = acceptance.run("8").checks
+    assert moments.label.startswith("mu(N) vs quadrature") and not moments.passed, str(moments)
+    assert all(c.passed for c in others)

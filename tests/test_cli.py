@@ -51,6 +51,18 @@ def test_kappa_eff_run_leaves_out_scipy_submodules():
     assert _heavy_scipy_loaded(code) == "[]"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["pdf", "--mode", "deterministic", "--outdir", "{out}"], "[]"),
+    (["validate", "--only", "1,2,8,10"], "[]"),
+    (["estimate-gamma", "--paths", "2", "--t-end", "50"], "[]"),
+    # k0e for the density and erfc for the CDF table; the table's rule is numpy
+    (["pdf", "--mode", "random-wave", "--outdir", "{out}"], "['scipy.special']"),
+], ids=["pdf_deterministic", "validate_quick", "estimate_gamma", "pdf_random_wave"])
+def test_recipe_loads_only_the_scipy_it_uses(argv, loaded, tmp_path):
+    argv = [a.format(out=tmp_path) for a in argv]
+    assert _heavy_scipy_loaded(f"from sheardisp.cli import main; main({argv!r})") == loaded
+
+
 class TestKappaEff:
     def test_linear_preset_matches_module(self, capsys):
         code, out = run_cli(["kappa-eff", "--flow", "linear", "--gamma", "1",

@@ -50,7 +50,7 @@ class TestBetaSpec:
 class TestDeterministicPdf:
     def test_normalization(self):
         for beta in (0.25, 1.0, 4.0):
-            # w = -log z substitution maps to a Gamma(1/2)-type integrand
+            # z = exp(-v^2) maps the density to a Gaussian in v
             total = pdf_moment_quadrature(0.0, beta)
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -118,6 +118,19 @@ class TestMomentFunction:
     @settings(max_examples=30, deadline=None)
     def test_matches_quadrature(self, beta, n):
         assert abs(moment_function(n, beta) - pdf_moment_quadrature(n, beta)) < 1e-8
+
+    @pytest.mark.parametrize("n, beta, match", [
+        (-2.0, 1.0, "clear of the pole"),
+        (math.nan, 1.0, "clear of the pole"),
+        (1.0, 0.0, "beta must be positive"),
+        (1.0, -1.0, "beta must be positive"),
+        (1.0, math.nan, "beta must be positive"),
+        # n + 1/beta = 0.05: the window's end e^{-800} would underflow to 0
+        (-0.95, 1.0, "clear of the pole"),
+    ], ids=["past_pole", "nan_order", "zero_beta", "negative_beta", "nan_beta", "next_to_pole"])
+    def test_quadrature_rejects_bad_input(self, n, beta, match):
+        with pytest.raises(ValueError, match=match):
+            pdf_moment_quadrature(n, beta)
 
 
 class TestTalbot:
@@ -204,7 +217,9 @@ class TestRandomWavePdf:
     (lambda x: reconstruct_pdf_from_moments(0.8, x), 0.3),
     (pdf_random_wave, 1.3),
     (cdf_random_wave, -0.4),
-], ids=["talbot_inverse", "reconstruct_pdf_from_moments", "pdf_random_wave", "cdf_random_wave"])
+    (lambda x: cdf_deterministic(x, 0.8), 0.3),
+], ids=["talbot_inverse", "reconstruct_pdf_from_moments", "pdf_random_wave", "cdf_random_wave",
+        "cdf_deterministic"])
 def test_scalar_in_scalar_out(fn, x):
     out = fn(x)
     assert isinstance(out, float)
