@@ -209,10 +209,11 @@ def criterion_6_invariant_measure() -> list[Check]:
     cfg = SimConfig(dt=1e-3, n_particles=100_000, seed=5, pe=pe)
     drift = pe * ubar * path.integral[-1]
     flow = FlowSpec.multiplicative(u)
-    for dx in (-0.5, 0.0, 0.5):
-        xq = drift + dx
+    # one walk serves the three points
+    xqs = drift + np.array([-0.5, 0.0, 0.5])
+    bks, _ = evaluate_point_backward(flow, gamma, path, xqs, 0.5, t_end, init, cfg)
+    for xq, bk in zip(xqs, bks):
         wind = float(wind_model_solution(xq, t_end, path, eig, ubar, init=init))
-        bk, se = evaluate_point_backward(flow, gamma, path, xq, 0.5, t_end, init, cfg)
         checks.append(Check(f"x={xq:+.2f} |backward/wind - 1|", abs(bk / wind - 1.0), 0.03))
     return checks
 

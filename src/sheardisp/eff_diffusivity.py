@@ -77,15 +77,27 @@ class FlowSpec:
     def general(cls, series: HermiteSeries, bc: str = "no-flux") -> "FlowSpec":
         return cls("general", series, bc)
 
-    def velocity(self, y, xi: float, gamma: Optional[float] = None) -> np.ndarray:
-        """Evaluate v(y, xi) at particle positions y."""
+    def velocity(self, y, xi: float, gamma: Optional[float] = None, out=None) -> np.ndarray:
+        """Evaluate v(y, xi) at particle positions y.
+
+        With ``out`` (a float array of y's shape) the result is written there
+        and returned, with the same bits as without.  Steady and
+        multiplicative flows build it in place; general flows still
+        synthesize a new array and copy it in.
+        """
         if self.kind == "steady":
-            return self.profile(y)
+            return self.profile(y, out=out)
         if self.kind == "multiplicative":
-            return self.profile(y) * xi
+            v = self.profile(y, out=out)
+            v *= xi
+            return v
         if gamma is None or gamma <= 0:
             raise ValueError("general flows need gamma to unscale the Hermite variable")
-        return self.profile.synthesize(y, xi / math.sqrt(gamma))
+        v = self.profile.synthesize(y, xi / math.sqrt(gamma))
+        if out is None:
+            return v
+        out[...] = v
+        return out
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,12 @@ class InitialData:
 
     @classmethod
     def random_wave(cls, a: float, amplitude: complex) -> "InitialData":
-        return cls("random-wave", a=a, amplitude=complex(amplitude))
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"random-wave wavenumber a must be finite and positive, got {a!r}")
+        amplitude = complex(amplitude)
+        if not np.isfinite(amplitude):
+            raise ValueError(f"random-wave amplitude must be finite, got {amplitude!r}")
+        return cls("random-wave", a=a, amplitude=amplitude)
 
     def sample_particles(self, n: int, rng: np.random.Generator):
         if self.kind == "delta-line":
@@ -129,20 +134,25 @@ def _fold(y: np.ndarray) -> np.ndarray:
     return np.where(y > 1.0, 2.0 - y, y)
 
 
-def _apply_bc(y: np.ndarray, bc: str) -> np.ndarray:
-    """Wrap (periodic) or reflect (no-flux) stepped positions into [0, 1].
+def _apply_bc(y: np.ndarray, bc: str, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Wrap (periodic) or reflect (no-flux) stepped positions y into [0, 1].
 
     No-flux walls reflect once, y -> min(|y|, 2 - |y|) = 1 - |1 - |y||,
     which is exact for |y| <= 2; only a step that overshoots further lands
-    below 0 there, and then the whole array takes the exact ``_fold``.
+    below 0 there, and then the whole array takes the exact ``_fold`` of
+    the unfolded y.  The result is built in ``out`` and returned; ``work``
+    is scratch for the no-flux fold.  Both have y's shape and neither may
+    be y itself.
     """
     if bc == "periodic":
-        return y - np.floor(y)
-    a = np.abs(y)
-    folded = np.minimum(a, 2.0 - a)
-    if folded.min() < 0.0:
-        return _fold(y)
-    return folded
+        np.floor(y, out=out)
+        return np.subtract(y, out, out=out)
+    np.abs(y, out=out)
+    np.subtract(2.0, out, out=work)
+    np.minimum(out, work, out=out)
+    if out.min() < 0.0:
+        out[...] = _fold(y)
+    return out
 
 
 def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
@@ -160,17 +170,29 @@ def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
     """Euler y-walk between the flow's walls accumulating D = sum_k v(Y_k, xi_k) dt.
 
     ``xi_mid`` holds one xi value per step, in stepping order.  Yields
-    (Y, D) before the first step and after every step; D is one array
-    updated in place, so read it before advancing the walk.
+    (Y, D) before the first step and after every step.  Y (a copy of the
+    start positions ``y``) and D are arrays the walk owns and updates in
+    place, so read them before advancing the walk.  The normals, the
+    velocity and the fold's scratch live in buffers made once per call, so
+    a step allocates only the lookup's short-lived index and gathers.
     """
     n = y.size
+    y = y.copy()
     drift = np.zeros(n)
-    sqrt2dt = math.sqrt(2.0 * cfg.dt)
+    z = np.empty(n)      # normals, then the stepped (unfolded) positions
+    v = np.empty(n)      # velocity, then the fold's scratch
+    dt = cfg.dt
+    sqrt2dt = math.sqrt(2.0 * dt)
     yield y, drift
     for xi in xi_mid:
-        drift += flow.velocity(y, xi, gamma) * cfg.dt
-        y = _apply_bc(y + sqrt2dt * rng.standard_normal(n), flow.bc)
-        if y.size != n or not (y.min() >= 0.0 and y.max() <= 1.0):
+        flow.velocity(y, xi, gamma, out=v)
+        v *= dt
+        drift += v
+        rng.standard_normal(out=z)
+        z *= sqrt2dt
+        z += y
+        _apply_bc(z, flow.bc, out=y, work=v)
+        if not (y.min() >= 0.0 and y.max() <= 1.0):
             raise AssertionError("particle left the channel: reflection broke mass conservation")
         yield y, drift
 
@@ -231,8 +253,8 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
 
 
 def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
-                            x: float, y: float, t: float, init: InitialData,
-                            cfg: SimConfig) -> tuple[float, float]:
+                            x, y: float, t: float, init: InitialData,
+                            cfg: SimConfig):
     """Backward-characteristics estimate of T(x, y, t) for one realization.
 
     Every backward sample sees the same xi path, so the estimate is one
@@ -240,11 +262,16 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
     is x - Pe D - sqrt(2t) Z, and Z is averaged out exactly: the estimate
     is the mean of ``init.value(x - Pe D, t)`` over the walks, which run
     between the walls the flow declares (``flow.bc``) and are seeded from
-    cfg.seed.  Returns (estimate, standard error); a start point off the
-    channel (y outside [0, 1]) or not finite, fewer than two particles, or
-    a white-noise-limit path (no pointwise xi) raises ``ValueError``.
+    cfg.seed.  ``x`` may be an array: one walk then serves every x, and
+    each entry gets the value a scalar call at that x returns.
+
+    Returns (estimate, standard error), floats for scalar x and arrays of
+    x's shape otherwise.  A start point off the channel (y outside [0, 1]),
+    a non-finite x or y, fewer than two particles, or a white-noise-limit
+    path (no pointwise xi) raises ``ValueError``.
     """
-    if not (math.isfinite(x) and math.isfinite(y) and 0.0 <= y <= 1.0):
+    xs = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(xs)) and math.isfinite(y) and 0.0 <= y <= 1.0):
         raise ValueError(f"need finite x and y in [0, 1], got x={x!r}, y={y!r}")
     if cfg.n_particles < 2:
         raise ValueError(f"a standard error needs n_particles >= 2, got {cfg.n_particles}")
@@ -255,10 +282,14 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
     xi_mid = _xi_midpoints(path, n_steps)[::-1]
     for _, drift in _y_walk(flow, gamma, xi_mid, np.full(n, float(y)), cfg, rng):
         pass
-    vals = init.value(x - cfg.pe * drift, t)
+    vals = init.value(xs[..., None] - cfg.pe * drift, t)
     # moments about the first sample, so identical samples give SE exactly 0
-    dev = vals - vals[0]
-    return float(vals[0] + np.mean(dev)), float(np.std(dev, ddof=1) / math.sqrt(n))
+    dev = vals - vals[..., :1]
+    est = vals[..., 0] + np.mean(dev, axis=-1)
+    se = np.std(dev, axis=-1, ddof=1) / math.sqrt(n)
+    if xs.ndim == 0:
+        return float(est), float(se)
+    return est, se
 
 
 def wind_model_solution(x, t: float, path: OUPath, eigen: EigenData, ubar: float,

@@ -103,21 +103,28 @@ class GridFunction:
     def centered(self) -> "GridFunction":
         return self.with_values(self.values - self.mean())
 
-    def __call__(self, y) -> np.ndarray:
+    def __call__(self, y, out=None) -> np.ndarray:
         """Linear interpolation off the grid (used by particle tracking).
 
         Index arithmetic on the uniform grid: s = clip(y, 0, 1) N, node
         i = floor(s), value v_i + (s - i)(v_{i+1} - v_i).  Out-of-range y
         clamps to the end values, as ``np.interp`` does; NaN gives NaN.
+
+        With ``out`` (a float array of y's shape, which may be y itself) the
+        result is built there and returned, with the same bits as without;
+        only the index arithmetic and the two gathers still allocate.
         """
         n = self.nodes.size - 1
-        s = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * n
+        s = np.clip(np.asarray(y, dtype=float), 0.0, 1.0, out=out)
+        s *= n
         # i = n (slope 0) only at s = n, so y >= 1 returns v_n exactly;
         # fmin also drops NaN, which keeps the integer cast warning-free
-        i = np.fmin(np.floor(s), n)
+        k = np.fmin(np.floor(s), n).astype(np.intp)
         slope = np.ediff1d(self.values, to_end=0.0)
-        k = i.astype(np.intp)
-        return self.values[k] + (s - i) * slope[k]
+        s -= k          # the index converts to float exactly: s - i
+        s *= slope[k]
+        s += self.values[k]
+        return s
 
 
 @lru_cache(maxsize=None)

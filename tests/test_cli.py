@@ -213,6 +213,20 @@ class TestSimulate:
         widths = np.diff(hist[:, 0]).mean()
         assert np.sum(hist[:, 1] * widths) == pytest.approx(1.0, abs=0.05)
 
+    def test_thread_count_leaves_outputs_unchanged(self, tmp_path, capsys):
+        # each walk owns its work arrays, so realizations walked on three
+        # threads at once write the same bytes as one thread in turn
+        written = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}"
+            code, _ = run_cli(["simulate", "--realizations", "3", "--particles", "2000",
+                               "--t-end", "1", "--threads", threads, "--outdir", str(out)],
+                              capsys)
+            assert code == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("simulate_summary.ndjson", "x_histogram.csv")])
+        assert written[0] == written[1]
+
 
 class TestPdf:
     def test_deterministic_table_mass(self, tmp_path, capsys):

@@ -314,5 +314,10 @@ class TestFlowSpec:
         ys = np.linspace(0.0, 1.0, 37)
         per_particle = [series.synthesize(float(y), 0.8) for y in ys]
         assert np.array_equal(gen.velocity(ys, 0.8, gamma=1.0), per_particle)
+        # out= returns the caller's buffer holding the same bits, for every kind
+        for flow, gamma in ((mult, None), (steady, None), (gen, 1.0)):
+            buf = np.empty_like(ys)
+            assert flow.velocity(ys, 0.8, gamma, out=buf) is buf
+            assert np.array_equal(buf, flow.velocity(ys, 0.8, gamma))
         with pytest.raises(ValueError):
             gen.velocity(0.5, 0.8)

@@ -30,6 +30,11 @@ from sheardisp import monte_carlo
 from sheardisp.invariant_measure import cdf_random_wave
 
 
+def _bc(y, bc):
+    """``_apply_bc`` into fresh buffers."""
+    return _apply_bc(y, bc, np.empty_like(y), np.empty_like(y))
+
+
 @pytest.fixture
 def fold_calls(monkeypatch):
     """Record every call of the exact fold, the walk's overshoot fallback."""
@@ -41,6 +46,38 @@ def fold_calls(monkeypatch):
 
     monkeypatch.setattr(monte_carlo, "_fold", counting_fold)
     return calls
+
+
+def _reference_velocity(flow, y, xi):
+    """Grid-function flows by the allocating lookup v_i + (s - i) slope_i."""
+    g = flow.profile
+    n = g.nodes.size - 1
+    s = np.clip(y, 0.0, 1.0) * n
+    i = np.fmin(np.floor(s), n)
+    k = i.astype(np.intp)
+    v = g.values[k] + (s - i) * np.ediff1d(g.values, to_end=0.0)[k]
+    return v if flow.kind == "steady" else v * xi
+
+
+def _reference_walk(flow, gamma, xi_mid, y, cfg, rng):
+    """The allocating y-walk: every step makes a new velocity array, new
+    normals and a new folded position array, and folds with one reflection
+    (``_fold`` of the stepped positions when a step overshoots past 2)."""
+    n = y.size
+    drift = np.zeros(n)
+    sqrt2dt = math.sqrt(2.0 * cfg.dt)
+    yield y, drift
+    for xi in xi_mid:
+        drift += _reference_velocity(flow, y, xi) * cfg.dt
+        z = y + sqrt2dt * rng.standard_normal(n)
+        if flow.bc == "periodic":
+            y = z - np.floor(z)
+        else:
+            a = np.abs(z)
+            y = np.minimum(a, 2.0 - a)
+            if y.min() < 0.0:
+                y = _fold(z)
+        yield y, drift
 
 
 class TestConfigAndInitialData:
@@ -63,6 +100,17 @@ class TestConfigAndInitialData:
     def test_gaussian_rejects_bad_variance(self, s):
         with pytest.raises(ValueError, match="variance s must be finite and positive"):
             InitialData.gaussian(s)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+    def test_random_wave_rejects_bad_wavenumber(self, a):
+        with pytest.raises(ValueError, match="wavenumber a must be finite and positive"):
+            InitialData.random_wave(a, 1.0 + 1.0j)
+
+    @pytest.mark.parametrize("amplitude", [complex(math.inf, 0.0), complex(1.0, math.nan),
+                                           math.inf])
+    def test_random_wave_rejects_bad_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            InitialData.random_wave(2.0, amplitude)
 
     @pytest.mark.parametrize("n", [None, 1000])
     def test_random_wave_rejects_empty_paths(self, n):
@@ -107,8 +155,8 @@ class TestConfigAndInitialData:
     @given(st.floats(min_value=-25, max_value=25, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_fold_stays_inside(self, y):
-        for folded in (_fold(np.array([y])), _apply_bc(np.array([y]), "no-flux"),
-                       _apply_bc(np.array([y]), "periodic")):
+        for folded in (_fold(np.array([y])), _bc(np.array([y]), "no-flux"),
+                       _bc(np.array([y]), "periodic")):
             assert 0.0 <= float(folded[0]) <= 1.0
 
     def test_fold_is_reflection(self):
@@ -121,8 +169,8 @@ class TestConfigAndInitialData:
         # of 2 - (y + 2) in _fold (measured 1.1e-16 on [-1, 0), 0 on [0, 2])
         y = np.random.default_rng(0).uniform(-1.0, 2.0, 100_000)
         y[:4] = (-1.0, 0.0, 1.0, 2.0)
-        assert np.max(np.abs(_apply_bc(y, "no-flux") - _fold(y))) <= 2.3e-16
-        periodic = _apply_bc(np.concatenate((y, [-1e-17, -25.3, 25.7])), "periodic")
+        assert np.max(np.abs(_bc(y, "no-flux") - _fold(y))) <= 2.3e-16
+        periodic = _bc(np.concatenate((y, [-1e-17, -25.3, 25.7])), "periodic")
         assert periodic.min() >= 0.0 and periodic.max() <= 1.0
 
     def test_fold_fallback_only_on_overshoot(self, fold_calls):
@@ -130,7 +178,7 @@ class TestConfigAndInitialData:
         for y, fallback in ((-1.3, False), (1.9, False), (2.4, True),
                             (-2.6, True), (5.7, True)):
             fold_calls.clear()
-            got = _apply_bc(np.array([0.5, y]), "no-flux")
+            got = _bc(np.array([0.5, y]), "no-flux")
             assert bool(fold_calls) is fallback, y
             np.testing.assert_allclose(got, _fold(np.array([0.5, y])), rtol=0, atol=2.3e-16)
 
@@ -144,6 +192,33 @@ class TestConfigAndInitialData:
 
 
 class TestForwardSimulation:
+    @pytest.mark.filterwarnings("ignore:dt does not resolve")
+    @pytest.mark.parametrize("kind, bc, dt", [
+        ("steady", "no-flux", 0.01), ("steady", "periodic", 0.01),
+        ("multiplicative", "no-flux", 0.01), ("multiplicative", "periodic", 0.01),
+        ("steady", "no-flux", 0.5),
+    ], ids=["steady-noflux", "steady-periodic", "mult-noflux", "mult-periodic",
+            "steady-noflux-overshoot"])
+    def test_walk_matches_allocating_reference(self, monkeypatch, kind, bc, dt):
+        # the in-place walk reproduces the allocating reference bit for bit,
+        # the exact-fold fallback (dt = 0.5, sqrt(2 dt) = 1) included
+        v = GridFunction.from_callable(lambda y: np.cos(2 * np.pi * y) + y, 256)
+        flow = FlowSpec.steady(v, bc) if kind == "steady" else FlowSpec.multiplicative(v, bc)
+        t_end = 2.0 if dt == 0.01 else 10.0
+        path = sample_ou(OUParams(1.0), time_grid(t_end, dt), seed=41)
+        cfg = SimConfig(dt=dt, n_particles=3_000, seed=12, pe=3.0)
+
+        def run():
+            return simulate_forward(flow, 1.0, InitialData.gaussian(0.3), t_end, cfg, path,
+                                    keep_positions=True, realization=2)
+
+        got = run()
+        monkeypatch.setattr(monte_carlo, "_y_walk", _reference_walk)
+        ref = run()
+        for name in ("t1bar", "t2bar", "final_x", "final_y"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert got.kappa_se == ref.kappa_se
+
     def test_pure_diffusion_calibration(self):
         # Pe = 0: Var(x) = 2t within 3 SE, y-marginal uniform (chi^2, 20 bins)
         cfg = SimConfig(dt=0.01, n_particles=40_000, seed=11, pe=0.0)
@@ -274,6 +349,34 @@ class TestForwardSimulation:
 
 
 class TestBackwardEvaluation:
+    @pytest.mark.parametrize("bc", ["no-flux", "periodic"])
+    def test_matches_allocating_reference(self, monkeypatch, bc):
+        u = GridFunction.from_callable(lambda y: y + 0.5, 512)
+        path = sample_ou(OUParams(1.0), time_grid(0.5, 0.01), seed=8)
+        cfg = SimConfig(dt=0.01, n_particles=2_000, seed=4, pe=2.0)
+        args = (FlowSpec.multiplicative(u, bc), 1.0, path, 0.3, 0.2, 0.5,
+                InitialData.gaussian(0.5), cfg)
+        got = evaluate_point_backward(*args)
+        monkeypatch.setattr(monte_carlo, "_y_walk", _reference_walk)
+        assert got == evaluate_point_backward(*args)
+
+    def test_array_x_matches_scalar_calls(self):
+        # one walk serves every x; each entry has the bits of its scalar call
+        u = GridFunction.from_callable(lambda y: y + 0.5, 512)
+        path = sample_ou(OUParams(1.0), time_grid(0.5, 0.01), seed=8)
+        cfg = SimConfig(dt=0.01, n_particles=5_000, seed=4, pe=1.0)
+        args = (FlowSpec.multiplicative(u), 1.0, path)
+        rest = (0.5, 0.5, InitialData.gaussian(0.5), cfg)
+        xs = np.array([-0.5, 0.1, 0.5])
+        est, se = evaluate_point_backward(*args, xs, *rest)
+        assert est.shape == se.shape == xs.shape
+        scalar = [evaluate_point_backward(*args, float(x), *rest) for x in xs]
+        assert all(isinstance(v, float) for pair in scalar for v in pair)
+        assert np.array_equal(est, [e for e, _ in scalar])
+        assert np.array_equal(se, [s for _, s in scalar])
+        with pytest.raises(ValueError, match="finite x"):
+            evaluate_point_backward(*args, np.array([0.0, math.nan]), *rest)
+
     def test_time_zero_is_exact(self):
         u = linear_profile()
         path = sample_ou(OUParams(1.0), time_grid(1.0, 0.01), seed=3)

@@ -51,6 +51,11 @@ class TestGridFunction:
             assert np.isnan(g(np.nan))
             out = g(np.array([np.nan, 0.5]))
         assert np.isnan(out[0]) and out[1] == np.interp(0.5, g.nodes, g.values)
+        # out= builds the same bits in a caller's buffer, NaN entry included
+        y_nan = np.append(y, np.nan)
+        buf = np.empty_like(y_nan)
+        assert g(y_nan, out=buf) is buf
+        assert np.array_equal(buf, g(y_nan), equal_nan=True) and np.isnan(buf[-1])
         # other interval counts: linspace nodes are rounded, so the two
         # differ by node rounding times the slope (measured 1.3e-15 at n = 510)
         g = GridFunction.from_callable(lambda y: np.sin(7 * y) + y**3 - 0.3, 510)
