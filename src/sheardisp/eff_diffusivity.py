@@ -27,6 +27,7 @@ import numpy as np
 from .spectral_core import (
     GridFunction,
     HermiteSeries,
+    _decay_integral,
     _inner_weights,
     hermite_norm,
     helmholtz_inverse,
@@ -91,7 +92,7 @@ class FlowSpec:
             v = self.profile(y, out=out)
             v *= xi
             return v
-        if gamma is None or gamma <= 0:
+        if gamma is None or not 0 < gamma < math.inf:
             raise ValueError("general flows need gamma to unscale the Hermite variable")
         v = self.profile.synthesize(y, xi / math.sqrt(gamma))
         if out is None:
@@ -111,6 +112,9 @@ class EigenData:
     _RTOL = 1e-8
 
     def __post_init__(self):
+        for name in ("pe", "lambda2", "lambda11"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         slack = self._RTOL * (1.0 + abs(self.lambda2))
         if self.lambda11 < -slack:
             raise ValueError(f"lambda11 must be nonnegative, got {self.lambda11}")
@@ -169,8 +173,8 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
     significant, TruncationError is raised -- for exactly terminating
     hand-built series, append a zero coefficient to mark the end.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     series = _require_general(flow)
     terms = [_lambda2_term(a_n, n, gamma, pe, flow.bc) if np.any(a_n.values) else 0.0
              for n, a_n in enumerate(series.coeffs)]
@@ -206,8 +210,8 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     Returns the series value; a relative disagreement beyond 1e-6 raises
     RepresentationMismatchError (truncation or quadrature failure).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     series = _require_general(flow)
     abar = series.mean_coefficients()
 
@@ -227,16 +231,11 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
 def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float) -> float:
     z = np.linspace(-_Z_MAX, _Z_MAX, _N_Z + 1)
     h = z[1] - z[0]
-    mid = z[:-1] + 0.5 * h
-    f_nodes = np.exp(-z * z) * series.vbar(z)
-    f_mid = np.exp(-mid * mid) * series.vbar(mid)
-    steps = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
-    izero = _N_Z // 2
-    cum = np.zeros(_N_Z + 1)
+    f = np.exp(-z * z) * series.vbar(z)
     # forward from -z_max on the left half, backward from +z_max on the right
-    cum[1:izero + 1] = np.cumsum(steps[:izero])
-    cum[izero:-1] = -np.cumsum(steps[izero:][::-1])[::-1]
-    cum[-1] = 0.0
+    fwd = _decay_integral(f, h, 0.0)
+    bwd = _decay_integral(f[::-1], h, 0.0)[::-1]
+    cum = np.where(z < 0, fwd, -bwd)
     outer = np.exp(z * z) * cum * cum
     # the package's one rule, scaled from [0, 1] to [-z_max, z_max]
     integral = 2.0 * _Z_MAX * np.sum(outer * _inner_weights(_N_Z))
@@ -265,8 +264,8 @@ def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
     """Closed form for v = u(y) xi(t), the n = 1 term of a_1 = u sqrt(gamma)/2:
     lambda2 = 2 + Pe^2 gamma <u, (gamma - Lap)^{-1} u>,
     lambda11 = Pe^2 (int u)^2."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     a_1 = u.with_values(0.5 * math.sqrt(gamma) * u.values)
     lambda2 = 2.0 + _lambda2_term(a_1, 1, gamma, pe, bc)
     lambda11 = pe**2 * u.mean() ** 2
@@ -290,6 +289,8 @@ def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:
     kappa_eff = 1 + Pe^2 <vbar, (-Lap)^{-1} vbar>, with vbar = v minus its
     cross-sectional mean (Galilean frame); with no-flux walls this is
     1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy."""
+    if not math.isfinite(pe):
+        raise ValueError(f"pe must be finite, got {pe}")
     return 1.0 + 0.5 * _lambda2_term(v.centered(), 0, 0.0, pe, bc)
 
 

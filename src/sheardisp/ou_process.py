@@ -154,15 +154,16 @@ def _scan_weights(d: float, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _decay_scan(inp: np.ndarray, d: float) -> np.ndarray:
     """y_k = d y_{k-1} + inp_k from y_{-1} = 0, for 0 <= d <= 1, scanned at
-    once in m even blocks of L <= ceil(200/|ln d|) nodes (one if d rounds to
-    1) as y_j = d^j cumsum(inp_i d^-i) plus d^(j+1) times the previous
+    once in m even blocks of L <= ceil(200/|ln d|) nodes (d = 1 is a plain
+    cumsum) as y_j = d^j cumsum(inp_i d^-i) plus d^(j+1) times the previous
     block's last local value; the carry from two blocks back, below
     d^L < e^-100, is dropped."""
     n = inp.size
     if d == 0.0:
         return inp.copy()
-    log_d = -math.log(d)
-    m = 1 if log_d == 0.0 else -(-n // math.ceil(200.0 / log_d))
+    if d == 1.0:
+        return np.cumsum(inp)
+    m = -(-n // math.ceil(200.0 / -math.log(d)))
     up, down = _scan_weights(d, -(-n // m))
     blocks = np.zeros((m, up.size))
     blocks.reshape(-1)[:n] = inp

@@ -4,10 +4,11 @@ One Helmholtz/Laplace inverse (-d^2/dy^2 + lambda)^{-1} on the channel
 cross section [0, 1]: for lambda > 0 the free-space kernel
 exp(-s|y - q|)/(2s), s = sqrt(lambda), plus one decaying exponential per
 wall, whose two coefficients are all that no-flux and periodic walls
-change; for lambda = 0 a double antiderivative.  Also grid functions with
-one quadrature rule (Boole's, for integrals, means and inner products),
-Hermite series and their Gauss-Hermite projections (numpy's ``hermval``
-and ``hermvander`` do the Hermite algebra), and cosine-basis projections.
+change; for lambda = 0 a double antiderivative by the same step integrals
+at s = 0.  Also grid functions with one quadrature rule (Boole's, for
+integrals, means and inner products), Hermite series and their
+Gauss-Hermite projections (numpy's ``hermval`` and ``hermvander`` do the
+Hermite algebra), and cosine-basis projections.
 
 Convention fixed throughout the package: *physicists'* Hermite
 polynomials, orthogonal under the weight exp(-z^2) with
@@ -138,19 +139,6 @@ def _inner_weights(n: int) -> np.ndarray:
     return w
 
 
-def cumint(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson antiderivative with F(x[0]) = 0 on a uniform grid of
-    step h: interval i integrates the parabola through nodes i..i+2 when i is
-    even, (h/12)(5 f_i + 8 f_{i+1} - f_{i+2}), and through nodes i-1..i+1
-    when i is odd or the last, (h/12)(-f_{i-1} + 8 f_i + 5 f_{i+1})."""
-    f = np.asarray(values, dtype=float)
-    left = 5.0 * f[:-2] + 8.0 * f[1:-1] - f[2:]     # interval i, nodes i..i+2
-    right = -f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:]   # interval i+1, nodes i..i+2
-    steps = np.append(left, right[-1])
-    steps[1::2] = right[::2]
-    return np.concatenate(([0.0], np.cumsum(steps * (h / 12.0))))
-
-
 # ---------------------------------------------------------------------------
 # Helmholtz / Laplace inverses
 # ---------------------------------------------------------------------------
@@ -168,9 +156,10 @@ _SERIES = 1.0 / ((np.arange(4.0)[:, None] + 1.0 + _J)
 
 
 def _exp_moments(x: float) -> np.ndarray:
-    """m_k(x) = int_0^1 exp(-x u) u^k du for k = 0..3 and x > 0: the power
-    series below x = 1, where the recursion loses digits, else the upward
-    recursion m_0 = (1 - exp(-x))/x, m_k = (k m_{k-1} - exp(-x))/x."""
+    """m_k(x) = int_0^1 exp(-x u) u^k du for k = 0..3 and x >= 0: the power
+    series below x = 1, where the recursion loses digits (at x = 0 it is
+    1/(k + 1) exactly), else the upward recursion m_0 = (1 - exp(-x))/x,
+    m_k = (k m_{k-1} - exp(-x))/x."""
     if x < 1.0:
         return _SERIES @ (-x) ** _J
     e = math.exp(-x)
@@ -182,9 +171,10 @@ def _exp_moments(x: float) -> np.ndarray:
 
 def _decay_integral(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
     """F(y_k) = int_0^{y_k} exp(-s (y_k - q)) a(q) dq, fourth order at every
-    s > 0: each step takes the kernel exactly against the cubic through four
-    neighbouring nodes, by the moments ``_exp_moments(s h)``, and the decay
-    scan F_k = exp(-x) F_{k-1} + step_k sums them."""
+    s >= 0; s = 0 is the running integral, exact for cubics.  Each step
+    takes the kernel exactly against the cubic through four neighbouring
+    nodes, by the moments ``_exp_moments(s h)``, and the decay scan
+    F_k = exp(-s h) F_{k-1} + step_k sums them (one cumsum at s = 0)."""
     x = s * h
     w = h * (_CUBIC_COEFFS @ _exp_moments(x))
     inp = np.concatenate(([0.0, w[0] @ a_vals[:4]], np.correlate(a_vals, w[1], "valid"),
@@ -214,13 +204,13 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
     """
     if bc not in ("no-flux", "periodic"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     y = a.nodes
     if lam == 0.0:
         if not a.is_zero_mean():
             raise SolvabilityError(f"{bc} inverse at lambda=0 needs zero-mean data")
-        second = cumint(cumint(a.values, a.h), a.h)
+        second = _decay_integral(_decay_integral(a.values, a.h, 0.0), a.h, 0.0)
         b = -second
         if bc == "periodic":
             b = b + second[-1] * y + second[-1]
@@ -297,8 +287,8 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSerie
     ``v`` is called as v(y_array, xi_scalar) with xi the physical flow
     argument; the quadrature feeds it xi = sqrt(gamma) * z_node.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     z_nodes, w = hermgauss(2 * n_h + 16)
     y = np.asarray(grid, dtype=float)
     # samples[i, j] = v(y_j, sqrt(gamma) z_i)

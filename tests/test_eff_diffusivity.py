@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sheardisp import eff_diffusivity
-from sheardisp.spectral_core import GridFunction, HermiteSeries, hermite_project
+from sheardisp.spectral_core import GridFunction, HermiteSeries, helmholtz_inverse, hermite_project
 from sheardisp.eff_diffusivity import (
     EigenData,
     FlowSpec,
@@ -41,6 +41,32 @@ class TestEigenData:
         eig = EigenData(3.0, 0.5, 1.0)
         assert eig.kappa_eff == pytest.approx(1.25)
         assert eig.beta == pytest.approx(0.2)
+
+
+def _general_flow():
+    return FlowSpec.general(hermite_project(lambda y, xi: y * xi, 1.0, 4, NODES))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: lambda_multiplicative(linear_profile(64), math.nan, 1.0), "gamma"),
+    (lambda: lambda_multiplicative(linear_profile(64), math.inf, 1.0), "gamma"),
+    (lambda: lambda2_general(_general_flow(), math.nan, 1.0), "gamma"),
+    (lambda: lambda11_general(_general_flow(), math.nan, 1.0), "gamma"),
+    (lambda: hermite_project(lambda y, xi: y * xi, math.nan, 4, NODES), "gamma"),
+    (lambda: _general_flow().velocity(NODES, 0.3, math.nan), "gamma"),
+    (lambda: lambda_multiplicative(linear_profile(64), 1.0, math.nan), "pe"),
+    (lambda: lambda_white(linear_profile(64), math.nan), "pe"),
+    (lambda: taylor_steady(linear_profile(64), math.nan), "pe"),
+    (lambda: EigenData(math.inf, 0.0, 1.0), "lambda2"),
+    (lambda: helmholtz_inverse(linear_profile(64).centered(), math.nan, "no-flux"), "lambda"),
+], ids=["multiplicative-gamma-nan", "multiplicative-gamma-inf", "lambda2-gamma-nan",
+        "lambda11-gamma-nan", "hermite_project-gamma-nan", "velocity-gamma-nan",
+        "multiplicative-pe-nan", "white-pe-nan", "taylor-pe-nan", "eigendata-lambda2-inf",
+        "helmholtz-lambda-nan"])
+def test_non_finite_input_names_the_parameter(call, name):
+    # NaN fails every comparison, so a "gamma <= 0" test lets it through
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()
 
 
 class TestWhiteNoise:

@@ -231,11 +231,6 @@ class TestSpectralVariance:
         assert gaussian_variance_spectral(0.0, lambda h: 1.0, 1.0, 0.0,
                                           h_max=1.0) == pytest.approx(2.0, rel=1e-10)
 
-    def test_gaussian_cutoff_closed_form(self):
-        kt = 0.8
-        val = gaussian_variance_spectral(0.0, lambda h: math.exp(-h * h / 2), 1.0, kt)
-        assert val == pytest.approx(math.sqrt(math.pi / (1 + kt)), rel=1e-10)
-
     def test_decay_to_zero(self):
         vals = [gaussian_variance_spectral(0.0, lambda h: math.exp(-h * h / 2), 1.0, kt)
                 for kt in (1.0, 1e2, 1e4, 1e8)]
@@ -246,8 +241,12 @@ class TestSpectralVariance:
         with pytest.raises(ValueError):
             gaussian_variance_spectral(-1.5, lambda h: 1.0, 1.0, 1.0)
 
-    def test_negative_alpha_integrable(self):
-        val = gaussian_variance_spectral(-0.5, lambda h: math.exp(-h * h / 2), 1.0, 0.0)
-        # int |h|^{-1/2} e^{-h^2} dh = 2 Gamma(1/4)/2... check against quad oracle
-        oracle, _ = quad(lambda h: h**-0.5 * math.exp(-h * h), 0, np.inf)
-        assert val == pytest.approx(2 * oracle, rel=1e-8)
+    def test_gaussian_cutoff_closed_form(self):
+        # phi0hat = exp(-h^2/2), kappa_eff = 1: 2 int_0^inf h^alpha
+        # exp(-(1 + kt) h^2) dh = Gamma(p) / (1 + kt)^p, p = (alpha + 1)/2;
+        # alpha = -1/2 has an integrable singularity at h = 0
+        for alpha in (-0.5, 0.0, 1.0, 2.0):
+            for kt in (0.0, 0.8):
+                val = gaussian_variance_spectral(alpha, lambda h: math.exp(-h * h / 2), 1.0, kt)
+                p = (alpha + 1.0) / 2.0
+                assert val == pytest.approx(math.gamma(p) / (1.0 + kt) ** p, rel=1e-10), (alpha, kt)

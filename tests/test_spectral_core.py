@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 from scipy.special import gammainc
 
 from sheardisp.acceptance import _residual_order
@@ -11,9 +11,9 @@ from sheardisp.spectral_core import (
     GridFunction,
     HermiteSeries,
     SolvabilityError,
+    _decay_integral,
     _exp_moments,
     cosine_project,
-    cumint,
     helmholtz_inverse,
     hermite_norm,
     hermite_project,
@@ -92,13 +92,9 @@ class TestHelmholtzNeumann:
         assert np.all(b.values == 0.0)
 
     def test_laplace_inverse_against_double_integration(self):
-        # independent oracle: -int_0^y int_0^{y1} a on a fine grid
+        # -int_0^y int_0^{y1} a against the analytic (cos(pi y) - 1)/pi^2
         a = GridFunction.from_callable(lambda y: np.cos(np.pi * y), 512)
         b = helmholtz_inverse(a, 0.0, "no-flux")
-        first = cumulative_simpson(a.values, x=a.nodes, initial=0.0)
-        oracle = -cumulative_simpson(first, x=a.nodes, initial=0.0)
-        assert np.max(np.abs(b.values - oracle)) < 1e-12
-        # which matches the analytic (cos(pi y) - 1)/pi^2
         exact = (np.cos(np.pi * a.nodes) - 1.0) / np.pi**2
         assert np.max(np.abs(b.values - exact)) < 1e-10
 
@@ -219,14 +215,24 @@ def test_exp_moments_against_incomplete_gamma():
     oracle = gammainc(k + 1.0, x[:, None]) * [1.0, 1.0, 2.0, 6.0] / x[:, None] ** (k + 1.0)
     mine = np.array([_exp_moments(xi) for xi in x])
     assert np.max(np.abs(mine / oracle - 1.0)) <= 1e-13
+    # x = 0: m_k = 1/(k + 1), so the zero-rate decay integral is the
+    # running integral, exact for cubics (a cubic on n = 16)
+    assert np.array_equal(_exp_moments(0.0), 1.0 / (k + 1.0))
+    y = np.linspace(0.0, 1.0, 17)
+    running = _decay_integral(2 * y**3 - y**2 + 0.5 * y - 0.1, y[1], 0.0)
+    assert np.max(np.abs(running - (y**4 / 2 - y**3 / 3 + y**2 / 4 - 0.1 * y))) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 513, 2048])
-def test_cumint_against_cumulative_simpson(n):
-    x = np.linspace(0.0, 1.0, n + 1)
-    f = np.sin(3.0 * x) + x**3
-    oracle = cumulative_simpson(f, x=x, initial=0.0)
-    assert np.max(np.abs(cumint(f, x[1] - x[0]) - oracle)) <= 1e-15
+@pytest.mark.parametrize("bc", ["no-flux", "periodic"])
+def test_laplace_inverse_exact_for_quadratic_data(bc):
+    # a = y^2 - 1/3 has D = int_0^y int_0^{y1} a = y^4/12 - y^2/6, a quartic
+    # that two cubic-exact running integrals reproduce even at n = 8
+    a = GridFunction.from_callable(lambda y: y**2 - 1.0 / 3.0, 8)
+    y = a.nodes
+    exact = -(y**4 / 12 - y**2 / 6)
+    if bc == "periodic":
+        exact += -(1 / 12) * y - 1 / 12          # D(1) y + D(1), D(1) = -1/12
+    assert np.max(np.abs(helmholtz_inverse(a, 0.0, bc).values - exact)) <= 1e-14
 
 
 def _unit_series(n: int) -> HermiteSeries:
