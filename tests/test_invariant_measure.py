@@ -241,12 +241,19 @@ class TestSpectralVariance:
         with pytest.raises(ValueError):
             gaussian_variance_spectral(-1.5, lambda h: 1.0, 1.0, 1.0)
 
-    def test_gaussian_cutoff_closed_form(self):
+    @staticmethod
+    def _check_gaussian_cutoff(alpha):
         # phi0hat = exp(-h^2/2), kappa_eff = 1: 2 int_0^inf h^alpha
-        # exp(-(1 + kt) h^2) dh = Gamma(p) / (1 + kt)^p, p = (alpha + 1)/2;
+        # exp(-(1 + kt) h^2) dh = Gamma(p) / (1 + kt)^p, p = (alpha + 1)/2
+        p = (alpha + 1.0) / 2.0
+        for kt in (0.0, 0.8):
+            val = gaussian_variance_spectral(alpha, lambda h: math.exp(-h * h / 2), 1.0, kt)
+            assert val == pytest.approx(math.gamma(p) / (1.0 + kt) ** p, rel=1e-10), (alpha, kt)
+
+    def test_gaussian_cutoff_closed_form(self):
+        for alpha in (0.0, 1.0, 2.0):
+            self._check_gaussian_cutoff(alpha)
+
+    def test_negative_alpha_integrable(self):
         # alpha = -1/2 has an integrable singularity at h = 0
-        for alpha in (-0.5, 0.0, 1.0, 2.0):
-            for kt in (0.0, 0.8):
-                val = gaussian_variance_spectral(alpha, lambda h: math.exp(-h * h / 2), 1.0, kt)
-                p = (alpha + 1.0) / 2.0
-                assert val == pytest.approx(math.gamma(p) / (1.0 + kt) ** p, rel=1e-10), (alpha, kt)
+        self._check_gaussian_cutoff(-0.5)
