@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ou_process import OUPath, _cumtrapz, _decay_scan
+from .ou_process import OUPath, _cumtrapz, _decay_scan, _write_csv
 from .spectral_core import GridFunction, cosine_project, cosine_eigenvalue
 from .eff_diffusivity import EigenData
 from .invariant_measure import moment_function
@@ -65,9 +65,8 @@ class ArisRecord:
             return np.where(self.times > 0, self.centered_second() / (2.0 * self.times), np.nan)
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.t1bar, self.t2bar, self.kappa_estimate])
-        np.savetxt(path, data, delimiter=",",
-                   header="t,t1bar,t2bar,kappa_estimate", comments="")
+        _write_csv(path, "t,t1bar,t2bar,kappa_estimate",
+                   [self.times, self.t1bar, self.t2bar, self.kappa_estimate])
 
 
 # ---------------------------------------------------------------------------

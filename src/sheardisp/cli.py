@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ou_process import OUParams, _step_count, sample_ou, time_grid
+from .ou_process import OUParams, _step_count, _write_csv, sample_ou, time_grid
 from .spectral_core import GridFunction
 from .eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, taylor_steady,
@@ -301,9 +301,7 @@ def cmd_simulate(cfg: dict) -> int:
     final_x = keeper["final_x"]
     density, edges = np.histogram(final_x, bins=cfg["bins"], density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    np.savetxt(out / "x_histogram.csv",
-               np.column_stack([centers, density]),
-               delimiter=",", header="x,density", comments="")
+    _write_csv(out / "x_histogram.csv", "x,density", [centers, density])
     _write_manifest(out, cfg)
     print(f"wrote ensemble summaries and final-position histogram to {out}")
     return 0
@@ -324,10 +322,8 @@ def cmd_pdf(cfg: dict) -> int:
         density = np.diff(cdf) / np.diff(edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         analytic = pdf_random_wave(centers)
-    np.savetxt(out / f"pdf_{cfg['mode']}.csv",
-               np.column_stack([centers, density, analytic]),
-               delimiter=",", header="z,bin_average_density,pointwise_density",
-               comments="")
+    _write_csv(out / f"pdf_{cfg['mode']}.csv", "z,bin_average_density,pointwise_density",
+               [centers, density, analytic])
     _write_manifest(out, cfg)
     total = float(np.sum(density * np.diff(edges)))
     print(f"wrote {out}/pdf_{cfg['mode']}.csv (bin-average mass {total:.6f})")

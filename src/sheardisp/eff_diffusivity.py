@@ -112,9 +112,7 @@ class EigenData:
     _RTOL = 1e-8
 
     def __post_init__(self):
-        for name in ("pe", "lambda2", "lambda11"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(pe=self.pe, lambda2=self.lambda2, lambda11=self.lambda11)
         slack = self._RTOL * (1.0 + abs(self.lambda2))
         if self.lambda11 < -slack:
             raise ValueError(f"lambda11 must be nonnegative, got {self.lambda11}")
@@ -173,8 +171,7 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
     significant, TruncationError is raised -- for exactly terminating
     hand-built series, append a zero coefficient to mark the end.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma_pe(gamma, pe)
     series = _require_general(flow)
     terms = [_lambda2_term(a_n, n, gamma, pe, flow.bc) if np.any(a_n.values) else 0.0
              for n, a_n in enumerate(series.coeffs)]
@@ -210,8 +207,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     Returns the series value; a relative disagreement beyond 1e-6 raises
     RepresentationMismatchError (truncation or quadrature failure).
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma_pe(gamma, pe)
     series = _require_general(flow)
     abar = series.mean_coefficients()
 
@@ -221,7 +217,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     integral = _lambda11_integral(series, gamma, pe)
 
     tol = _LAMBDA11_RTOL * abs(value) + 1e-10 * (1.0 + pe**2 / gamma)
-    if abs(value - integral) > tol:
+    if not abs(value - integral) <= tol:
         raise RepresentationMismatchError(
             f"lambda11 series {value:.12e} vs integral {integral:.12e} "
             f"disagree beyond tolerance {tol:.3e}")
@@ -249,6 +245,18 @@ def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float) -> EigenData:
     return EigenData(l2.value, l11.value, pe)
 
 
+def _check_gamma_pe(gamma: float, pe: float) -> None:
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _require_finite(pe=pe)
+
+
+def _require_finite(**args: float) -> None:
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _require_general(flow: FlowSpec) -> HermiteSeries:
     if flow.kind != "general":
         raise TypeError("this operation expects a general Hermite-series flow")
@@ -264,8 +272,7 @@ def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
     """Closed form for v = u(y) xi(t), the n = 1 term of a_1 = u sqrt(gamma)/2:
     lambda2 = 2 + Pe^2 gamma <u, (gamma - Lap)^{-1} u>,
     lambda11 = Pe^2 (int u)^2."""
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma_pe(gamma, pe)
     a_1 = u.with_values(0.5 * math.sqrt(gamma) * u.values)
     lambda2 = 2.0 + _lambda2_term(a_1, 1, gamma, pe, bc)
     lambda11 = pe**2 * u.mean() ** 2
@@ -289,14 +296,14 @@ def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:
     kappa_eff = 1 + Pe^2 <vbar, (-Lap)^{-1} vbar>, with vbar = v minus its
     cross-sectional mean (Galilean frame); with no-flux walls this is
     1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy."""
-    if not math.isfinite(pe):
-        raise ValueError(f"pe must be finite, got {pe}")
+    _require_finite(pe=pe)
     return 1.0 + 0.5 * _lambda2_term(v.centered(), 0, 0.0, pe, bc)
 
 
 def small_gamma_asymptotic(kappa: float, g: float, gamma: float, L: float) -> float:
     """Leading small-damping behavior of the dimensional linear-shear
     effective diffusivity: kappa + gamma g^2 L^4 / (240 kappa)."""
+    _require_finite(kappa=kappa, g=g, gamma=gamma, L=L)
     return kappa + gamma * g**2 * L**4 / (240.0 * kappa)
 
 
@@ -307,6 +314,7 @@ def kappa_eff_dimensional_linear(kappa: float, g: float, gamma: float, L: float)
                  + kappa^{3/2} tanh(sqrt(gamma) L / (2 sqrt(kappa)))
                    / (gamma^{3/2} L)).
     """
+    _require_finite(kappa=kappa, g=g, gamma=gamma, L=L)
     if kappa <= 0 or L <= 0:
         raise ValueError("kappa and L must be positive")
     if gamma <= 0:

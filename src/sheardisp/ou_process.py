@@ -90,8 +90,25 @@ class OUPath:
 
     def to_csv(self, path) -> None:
         xi = self.values if self.values is not None else np.full_like(self.times, np.nan)
-        data = np.column_stack([self.times, xi, self.integral])
-        np.savetxt(path, data, delimiter=",", header="t,xi,integral", comments="")
+        _write_csv(path, "t,xi,integral", [self.times, xi, self.integral])
+
+
+_CSV_BLOCK = 4096   # rows formatted per write
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns as a comma-separated table under one
+    header line.  Values are ``%.17g``, the shortest fixed precision that
+    reads back every float64 bit-exactly (nan and inf included).  Rows are
+    formatted and written a block at a time, so memory stays bounded by the
+    block rather than growing with the table."""
+    data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, data.shape[0], _CSV_BLOCK):
+            block = data[start:start + _CSV_BLOCK]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:

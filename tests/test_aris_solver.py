@@ -264,4 +264,6 @@ class TestRecordExport:
         header = out.read_text().splitlines()[0]
         assert header == "t,t1bar,t2bar,kappa_estimate"
         data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert data.shape == (5, 4)
+        expected = np.column_stack([rec.times, rec.t1bar, rec.t2bar, rec.kappa_estimate])
+        assert np.isnan(expected[0, 3])   # kappa_estimate at t = 0
+        assert np.array_equal(data, expected, equal_nan=True)

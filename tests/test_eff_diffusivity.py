@@ -59,10 +59,18 @@ def _general_flow():
     (lambda: taylor_steady(linear_profile(64), math.nan), "pe"),
     (lambda: EigenData(math.inf, 0.0, 1.0), "lambda2"),
     (lambda: helmholtz_inverse(linear_profile(64).centered(), math.nan, "no-flux"), "lambda"),
+    *[(lambda pe=pe, fn=fn: fn(_general_flow(), 1.0, pe), "pe")
+      for fn in (lambda2_general, lambda11_general) for pe in (math.nan, math.inf, -math.inf)],
+    *[(lambda fn=fn, i=i, bad=bad: fn(*[bad if j == i else 1.0 for j in range(4)]), name)
+      for fn in (kappa_eff_dimensional_linear, small_gamma_asymptotic)
+      for i, name in enumerate(("kappa", "g", "gamma", "L")) for bad in (math.nan, math.inf)],
 ], ids=["multiplicative-gamma-nan", "multiplicative-gamma-inf", "lambda2-gamma-nan",
         "lambda11-gamma-nan", "hermite_project-gamma-nan", "velocity-gamma-nan",
         "multiplicative-pe-nan", "white-pe-nan", "taylor-pe-nan", "eigendata-lambda2-inf",
-        "helmholtz-lambda-nan"])
+        "helmholtz-lambda-nan",
+        *[f"{fn}-pe-{pe}" for fn in ("lambda2", "lambda11") for pe in ("nan", "inf", "-inf")],
+        *[f"{fn}-{name}-{bad}" for fn in ("dimensional", "small_gamma")
+          for name in ("kappa", "g", "gamma", "L") for bad in ("nan", "inf")]])
 def test_non_finite_input_names_the_parameter(call, name):
     # NaN fails every comparison, so a "gamma <= 0" test lets it through
     with pytest.raises(ValueError, match=rf"\b{name}\b"):

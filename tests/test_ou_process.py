@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from sheardisp.ou_process import (
     OUParams,
     OUPath,
+    _CSV_BLOCK,
     _decay_scan,
+    _write_csv,
     integral_variance,
     sample_brownian_scaled,
     sample_ou,
@@ -189,13 +192,46 @@ class TestBrownianLimit:
 
 
 def test_csv_export(tmp_path):
-    p = sample_ou(OUParams(1.0), time_grid(1.0, 0.25), seed=3)
-    out = tmp_path / "path.csv"
-    p.to_csv(out)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert data.shape == (5, 3)
-    assert np.allclose(data[:, 0], p.times)
-    assert np.allclose(data[:, 1], p.values)
+    grid = time_grid(1.0, 0.25)
+    # the white-noise path has no values: its xi column is all NaN
+    for path in (sample_ou(OUParams(1.0), grid, seed=3), sample_brownian_scaled(grid, 1.0, seed=3)):
+        out = tmp_path / "path.csv"
+        path.to_csv(out)
+        assert out.read_text().splitlines()[0] == "t,xi,integral"
+        xi = path.values if path.values is not None else np.full(grid.size, np.nan)
+        expected = np.column_stack([path.times, xi, path.integral])
+        assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
+def test_csv_reads_back_like_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(float).max, np.finfo(float).tiny]
+    columns = [np.arange(rows) * 0.01, rng.standard_normal(rows) * 1e-300,
+               rng.standard_normal(rows) * 1e300, rng.standard_normal(rows),
+               np.resize(specials, rows)]
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    _write_csv(ours, "a,b,c,d,e", columns)
+    np.savetxt(theirs, np.column_stack(columns), delimiter=",", header="a,b,c,d,e", comments="")
+    assert ours.read_text().splitlines()[0] == theirs.read_text().splitlines()[0]
+    read = [np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2) for f in (ours, theirs)]
+    assert read[0].shape == (rows, 5)
+    # bit-exact, signed zero included
+    assert np.array_equal(read[0].view(np.int64), read[1].view(np.int64))
+    assert np.array_equal(read[0], np.column_stack(columns), equal_nan=True)
+
+
+def test_csv_memory_is_bounded_by_the_block(tmp_path):
+    # formatting the whole 200k x 4 table as one string peaks above 50 MB
+    # (float objects plus text); a block at a time stays far below that
+    columns = list(np.random.default_rng(0).standard_normal((4, 200_000)))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", "a,b,c,d", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 _SCAN_DECAYS = [0.0, 1e-20, math.exp(-45), math.exp(-4), math.exp(-0.4), 0.99, 0.995,
