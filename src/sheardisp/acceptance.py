@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ou_process import OUParams, sample_ou, time_grid, integral_variance
+from .ou_process import OUParams, OUPath, sample_ou, time_grid, integral_variance
 from .spectral_core import (
     GridFunction, HermiteSeries, hermite_norm,
     helmholtz_inverse, hermite_project,
@@ -32,7 +32,7 @@ from .eff_diffusivity import (
 from .aris_solver import (
     solve_aris, estimate_gamma, nth_moment_prediction,
     npoint_correlator, lambda_from_moments,
-    exp_weighted_integral, cosine_eigenvalue,
+    ou_integral_identity, cosine_eigenvalue,
 )
 from .monte_carlo import (
     SimConfig, InitialData, simulate_forward, evaluate_point_backward,
@@ -101,8 +101,7 @@ def criterion_2_ou_closed_form() -> list[Check]:
     u = GridFunction.from_callable(lambda y: y, 4096)
     checks = []
     for g in (0.1, 1.0, 10.0, 100.0):
-        target = 1.0 + (1.0 / 24.0 - 1.0 / (2.0 * g)
-                        + math.tanh(math.sqrt(g) / 2.0) / g**1.5)
+        target = kappa_eff_dimensional_linear(1.0, 1.0, g, 1.0)
         err = abs(lambda_multiplicative(u, g, 1.0).kappa_eff - target)
         checks.append(Check(f"gamma={g} |err|", err, 1e-8))
     k_white = lambda_white(u, 1.0).kappa_eff
@@ -150,12 +149,13 @@ def criterion_4_ou_integral_identity() -> list[Check]:
     horizons = (50.0, 100.0, 200.0)
     idx = [int(round(t / 0.005)) for t in horizons]
     stats = {t: [] for t in horizons}
-    rhs = 0.25
     for i in range(50):
         path = sample_ou(OUParams(gamma), grid, seed=1000, realization=i)
-        j = exp_weighted_integral(path, lam)
+        # the statistic is causal: each horizon reads the prefix of one path
         for t, k in zip(horizons, idx):
-            stats[t].append(j[k] / t)
+            lhs, rhs = ou_integral_identity(1, gamma, OUPath(path.times[:k + 1],
+                                                             path.xi[:k + 1]))
+            stats[t].append(lhs)
     means = {t: float(np.mean(v)) for t, v in stats.items()}
     ses = {t: float(np.std(v) / math.sqrt(len(v))) for t, v in stats.items()}
     checks = [Check("t=200 |mean - 1/4|", abs(means[200.0] - rhs), 0.05 * rhs)]
@@ -189,7 +189,7 @@ def criterion_6_invariant_measure() -> list[Check]:
     eig = lambda_multiplicative(u, gamma, pe)
     ubar = u.mean()
     init = InitialData.gaussian(s_init)
-    rescale = math.sqrt(2.0 * math.pi * s_init + 4.0 * math.pi * eig.kappa_eff * t_end)
+    rescale = 1.0 / init.value(0.0, eig.kappa_eff * t_end)
 
     grid = time_grid(t_end, 1e-3)
     vals = np.empty(10_000)

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ou_process import OUPath, _cumtrapz, _decay_scan, _write_csv
-from .spectral_core import GridFunction, cosine_project, cosine_eigenvalue
-from .eff_diffusivity import EigenData
+from .spectral_core import GridFunction, _exp_moments, cosine_project, cosine_eigenvalue
+from .eff_diffusivity import EigenData, _require_finite
 from .invariant_measure import moment_function
 
 
@@ -75,14 +75,13 @@ class ArisRecord:
 
 def exp_weighted_integral(path: OUPath, lam: float) -> np.ndarray:
     """J(t_k) = int_0^{t_k} xi(s) e^{-lam s} int_0^s e^{lam tau} xi(tau) dtau ds,
-    evaluated stably through the running mode amplitude q (xi linear on
-    each step)."""
+    evaluated stably through the running mode amplitude q.  With xi linear
+    on each step, a step adds dt (m_1 xi_k + (m_0 - m_1) xi_{k+1}) to q,
+    m_j = ``_exp_moments(lam dt)``, the package's one step-moment rule."""
     xi, dt = path.xi, path.dt
-    eps, one_minus = math.exp(-lam * dt), -math.expm1(-lam * dt)
-    w_left = one_minus / (lam * lam * dt) - eps / lam
-    w_right = 1.0 / lam - one_minus / (lam * lam * dt)
-    inp = np.concatenate(([0.0], w_left * xi[:-1] + w_right * xi[1:]))
-    return _cumtrapz(xi * _decay_scan(inp, eps), dt)
+    m = _exp_moments(lam * dt)
+    inp = np.concatenate(([0.0], (dt * m[1]) * xi[:-1] + (dt * (m[0] - m[1])) * xi[1:]))
+    return _cumtrapz(xi * _decay_scan(inp, math.exp(-lam * dt)), dt)
 
 
 def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> ArisRecord:
@@ -170,8 +169,9 @@ def nth_moment_prediction(n: int, mass: float, eig: EigenData, t: float) -> floa
     """Long-time N-th one-point moment at x = 0, for N = n:
 
     <T^N> = mass^N (4 pi t kappa_eff)^{-N/2} (1 + N beta)^{-1/2},
-    beta = lambda11 / (lambda2 - lambda11).
+    beta = lambda11 / (lambda2 - lambda11).  Non-finite input raises ``ValueError``.
     """
+    _require_finite(mass=mass, t=t)
     if n < 1 or not t > 0:
         raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
     if eig.lambda2 - eig.lambda11 <= 0:
@@ -187,9 +187,11 @@ def npoint_correlator(x, mass: float, eig: EigenData, t: float) -> float:
 
     with Lam1 = (lambda2 - lambda11) I + lambda11 e^T e.  The inverse
     quadratic form and determinant use Sherman-Morrison and the matrix
-    determinant lemma, O(N) instead of a dense solve.
+    determinant lemma, O(N) instead of a dense solve.  Non-finite input
+    raises ``ValueError``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _require_finite(mass=mass, t=t, **{f"x[{i}]": v for i, v in enumerate(x.tolist())})
     n = x.size
     if n < 1 or not t > 0:
         raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
@@ -216,8 +218,9 @@ def lambda_from_moments(m1: float, m2: float, mass: float, t: float) -> MomentIn
     Inverts the N = 1, 2 cases of the moment prediction:
     lambda2 = mass^2 / (2 pi t m1^2) and, with q = mass^2 / (2 pi t m2)
     equal to sqrt(lambda2^2 - lambda11^2),
-    lambda11 = sqrt(lambda2^2 - q^2).
+    lambda11 = sqrt(lambda2^2 - q^2).  Non-finite input raises ``ValueError``.
     """
+    _require_finite(m1=m1, m2=m2, mass=mass, t=t)
     if t <= 0:
         raise ValueError("t must be positive")
     if m1 <= 0 or m2 <= 0 or mass <= 0:

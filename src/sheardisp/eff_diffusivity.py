@@ -81,10 +81,8 @@ class FlowSpec:
     def velocity(self, y, xi: float, gamma: Optional[float] = None, out=None) -> np.ndarray:
         """Evaluate v(y, xi) at particle positions y.
 
-        With ``out`` (a float array of y's shape) the result is written there
-        and returned, with the same bits as without.  Steady and
-        multiplicative flows build it in place; general flows still
-        synthesize a new array and copy it in.
+        With ``out`` (a float array of y's shape) the result is built there
+        and returned, with the same bits as without.
         """
         if self.kind == "steady":
             return self.profile(y, out=out)
@@ -94,11 +92,7 @@ class FlowSpec:
             return v
         if gamma is None or not 0 < gamma < math.inf:
             raise ValueError("general flows need gamma to unscale the Hermite variable")
-        v = self.profile.synthesize(y, xi / math.sqrt(gamma))
-        if out is None:
-            return v
-        out[...] = v
-        return out
+        return self.profile.synthesize(y, xi / math.sqrt(gamma), out=out)
 
 
 @dataclass(frozen=True)

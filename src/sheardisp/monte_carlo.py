@@ -9,13 +9,13 @@ driven by a single shared OU path per realization -- the same path feeds
 the forward solver, the backward point evaluator, and the analytic wind
 model, so single-realization comparisons are meaningful.
 
-Only Y is simulated.  Given the cross-channel path, X is exactly Gaussian
-with mean x0 + Pe D, D = int v(Y, xi) dt, and variance 2t, so both
-solvers share one reflected y-walk that accumulates D.  The forward
-solver records exact conditional moments of X (no x noise enters them)
-and draws X only once, at the end; the backward solver draws no x: it
-averages ``InitialData.value(x - Pe D, t)``, the heat-smoothed data,
-over the walks.
+Only Y is simulated.  Given the cross-channel path, X - x0 is exactly
+Gaussian with mean Pe D, D = int v(Y, xi) dt, and variance 2t, so both
+solvers share one reflected y-walk that accumulates D, and neither draws
+x0: the x-stratified data enter through their heat-smoothed law.  The
+forward solver records exact conditional moments of X and draws X only
+once, at the end; the backward solver averages
+``InitialData.value(x - Pe D, t)`` over the walks.
 
 Reflection is positional folding, exact in distribution for the uniform
 invariant measure and adequate for sqrt(2 dt) << 1.  No-flux walls take
@@ -90,16 +90,6 @@ class InitialData:
             raise ValueError(f"random-wave amplitude must be finite, got {amplitude!r}")
         return cls("random-wave", a=a, amplitude=amplitude)
 
-    def sample_particles(self, n: int, rng: np.random.Generator):
-        if self.kind == "delta-line":
-            x = np.zeros(n)
-        elif self.kind == "gaussian":
-            x = rng.standard_normal(n) * math.sqrt(self.s)
-        else:
-            raise ValueError(f"{self.kind} data cannot be sampled as particles")
-        y = rng.uniform(0.0, 1.0, n)
-        return x, y
-
     def value(self, x, t: float = 0.0):
         """The data smoothed by the unit-diffusivity heat kernel to time t
         (added variance 2t): gaussian(s) gives N(x; s + 2t), random-wave
@@ -120,8 +110,8 @@ class ForwardResult(ArisRecord):
     """The particle route's Aris record, plus what only particles give:
     ``kappa_se``, the MC standard error of the final kappa estimate (the
     fourth-moment standard error of the sample variance of the conditional
-    means m = x0 + Pe D, divided by 2t; the 2t of x noise is exact), and
-    optionally the final positions."""
+    means m = Pe D, divided by 2t; the data variance and the 2t of x noise
+    are exact), and optionally the final positions."""
 
     kappa_se: float
     final_x: Optional[np.ndarray] = None
@@ -211,11 +201,12 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
 
     ``path`` supplies the shared xi realization (required unless the flow
     is steady); randomness beyond xi is the per-particle Brownian noise,
-    seeded from (cfg.seed, realization).  Particles walk between the walls
-    the flow declares (``flow.bc``).  The returned Aris record is exact
-    given the y-paths: with m = x0 + Pe D, T1bar = <m> and
-    T2bar = <m^2> + 2t.  ``final_x`` is drawn from N(m, 2t), which has the
-    law of an Euler scheme that also steps x.
+    seeded from (cfg.seed, realization).  Particles start uniform in y and
+    walk between the walls the flow declares (``flow.bc``).  The Aris
+    record is exact given the y-paths: with m = Pe D and s the data
+    variance (0 for the delta line), T1bar = <m>, T2bar = <m^2> + 2t + s,
+    and ``final_x`` is drawn from N(m, 2t + s).  Random-wave data raise
+    ``ValueError``.
     """
     if flow.kind == "steady":
         path = None
@@ -225,19 +216,22 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     if dt * math.pi**2 > 0.25:
         warnings.warn("dt does not resolve the slowest cross-channel mode; "
                       "the moment history will be biased", RuntimeWarning)
+    if init.kind == "random-wave":
+        raise ValueError("random-wave data are signed and cannot be carried by particles")
+    s = init.s or 0.0
     n_steps = _step_indices(path, t_end, dt)
     rng = np.random.default_rng(realization_seed(cfg.seed, realization))
-    x0, y = init.sample_particles(cfg.n_particles, rng)
+    y = rng.uniform(0.0, 1.0, cfg.n_particles)
 
     stride = max(1, n_steps // _N_RECORD)
     rec_t, rec_m1, rec_m2 = [], [], []
     xi_mid = _xi_midpoints(path, n_steps)
     for k, (y, drift) in enumerate(_y_walk(flow, gamma, xi_mid, y, cfg, rng)):
         if k % stride == 0 or k == n_steps:
-            m = x0 + cfg.pe * drift
+            m = cfg.pe * drift
             rec_t.append(k * dt)
             rec_m1.append(float(np.mean(m)))
-            rec_m2.append(float(np.mean(m * m)) + 2.0 * k * dt)
+            rec_m2.append(float(np.mean(m * m)) + 2.0 * k * dt + s)
 
     t = rec_t[-1]
     c = m - np.mean(m)
@@ -247,7 +241,7 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
 
     final_x = None
     if keep_positions:
-        final_x = m + math.sqrt(2.0 * t) * rng.standard_normal(cfg.n_particles)
+        final_x = m + math.sqrt(2.0 * t + s) * rng.standard_normal(cfg.n_particles)
     return ForwardResult(np.array(rec_t), np.array(rec_m1), np.array(rec_m2), kappa_se,
                          final_x, y if keep_positions else None)
 

@@ -255,6 +255,8 @@ class HermiteSeries:
             raise ValueError("need at least the n=0 coefficient")
         if not self.coeffs[0].is_zero_mean():
             raise ValueError("a_0 must have zero cross-sectional mean (apply the Galilean shift)")
+        if len({c.nodes.size for c in self.coeffs}) > 1:
+            raise ValueError("all coefficients must share one grid")
 
     @property
     def n_modes(self) -> int:
@@ -268,11 +270,12 @@ class HermiteSeries:
         """Cross-sectionally averaged flow sum_n abar_n H_n(z)."""
         return hermval(np.asarray(z, dtype=float), self.mean_coefficients())
 
-    def synthesize(self, y, z):
-        """Evaluate sum_n a_n(y) H_n(z) (+shift); y and z broadcast, so one
-        call serves scalar y with an array of z, or particle positions y
-        at one z."""
-        return self.shift + hermval(z, np.array([c(y) for c in self.coeffs]), tensor=False)
+    def synthesize(self, y, z: float, out=None) -> np.ndarray:
+        """Evaluate sum_n a_n(y) H_n(z) (+shift) at positions y and one z: one
+        ``hermval`` sums the modes on the grid and the sum is looked up once,
+        into ``out`` as in ``GridFunction.__call__``."""
+        grid = hermval(float(z), np.array([c.values for c in self.coeffs])) + self.shift
+        return self.coeffs[0].with_values(grid)(y, out=out)
 
 
 def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSeries:

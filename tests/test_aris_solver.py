@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheardisp.ou_process import OUParams, OUPath, sample_ou, time_grid
-from sheardisp.spectral_core import GridFunction
+from sheardisp.spectral_core import GridFunction, cosine_eigenvalue
 from sheardisp.eff_diffusivity import (
     EigenData, lambda_multiplicative, linear_profile, cosine_profile,
 )
@@ -122,6 +122,18 @@ class TestOUIntegralIdentity:
         assert rhs == pytest.approx(0.25, abs=1e-14)
         assert abs(np.mean(lhs_vals) / 0.25 - 1.0) < 0.05
 
+    def test_prefix_reads_the_full_path(self):
+        # the statistic is causal: the identity on the prefix ending at t_k
+        # reads J(t_k) / t_k of the full path, which criterion 4 relies on
+        gamma = math.pi**2
+        path = sample_ou(OUParams(gamma), time_grid(200.0, 0.005), seed=1000, realization=3)
+        j = exp_weighted_integral(path, cosine_eigenvalue(1))
+        for k in (10_000, 20_000, 40_000):
+            lhs, rhs = ou_integral_identity(1, gamma, OUPath(path.times[:k + 1],
+                                                             path.xi[:k + 1]))
+            assert lhs == pytest.approx(j[k] / path.times[k], rel=1e-14, abs=0.0)
+            assert rhs == 0.25
+
     def test_rhs_limits(self):
         path = sample_ou(OUParams(1e6), time_grid(6.0, 0.01), seed=0)
         _, rhs_big = ou_integral_identity(1, 1e6, path)
@@ -211,6 +223,39 @@ class TestMomentPredictions:
             nth_moment_prediction(1, 1.0, EIG, 0.0)
 
 
+_NONFINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteInput:
+    # the N-point layer names a non-finite moment, mass, t or x
+    @_NONFINITE
+    @pytest.mark.parametrize("name", ["m1", "m2", "mass", "t"])
+    def test_lambda_from_moments(self, name, bad):
+        args = dict(m1=nth_moment_prediction(1, 1.0, EIG, 10.0),
+                    m2=nth_moment_prediction(2, 1.0, EIG, 10.0), mass=1.0, t=10.0)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            lambda_from_moments(**args)
+
+    @_NONFINITE
+    @pytest.mark.parametrize("name", ["mass", "t"])
+    def test_nth_moment_prediction(self, name, bad):
+        args = dict(n=2, mass=1.0, eig=EIG, t=1.0)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            nth_moment_prediction(**args)
+
+    @_NONFINITE
+    @pytest.mark.parametrize("name", ["x", "mass", "t"])
+    def test_npoint_correlator(self, name, bad):
+        args = dict(x=[0.0, 0.5], mass=1.0, eig=EIG, t=1.0)
+        args[name] = [0.0, bad] if name == "x" else bad
+        label = r"x\[1\]" if name == "x" else name
+        with pytest.raises(ValueError, match=f"{label} must be finite"):
+            npoint_correlator(**args)
+
+
 class TestLambdaFromMoments:
     def test_round_trip(self):
         m1 = nth_moment_prediction(1, 1.0, EIG, 10.0)
@@ -258,7 +303,9 @@ class TestLambdaFromMoments:
 
 class TestRecordExport:
     def test_csv(self, tmp_path):
-        rec = solve_aris(linear_profile(), 1.0, _zero_path(2.0, 0.5), n_max=2)
+        # a sampled path, whose values need all 17 significant digits to read back
+        path = sample_ou(OUParams(1.0), time_grid(2.0, 0.01), seed=8)
+        rec = solve_aris(linear_profile(), 1.0, path, n_max=2)
         out = tmp_path / "rec.csv"
         rec.to_csv(out)
         header = out.read_text().splitlines()[0]

@@ -127,8 +127,6 @@ class TestConfigAndInitialData:
             d.value(0.0)
         rw = InitialData.random_wave(2.0, 0.3 + 0.4j)
         assert rw.value(0.0) == pytest.approx(0.6, rel=1e-12)
-        with pytest.raises(ValueError):
-            rw.sample_particles(10, np.random.default_rng(0))
         # smoothed by the heat kernel N(0, 2t)
         assert g.value(0.0, 0.25) == pytest.approx(1 / math.sqrt(2 * np.pi), rel=1e-12)
         assert g.value(1.0, 0.25) == pytest.approx(math.exp(-0.5) / math.sqrt(2 * np.pi), rel=1e-12)
@@ -233,6 +231,29 @@ class TestForwardSimulation:
         expected = cfg.n_particles / 20
         stat = float(np.sum((counts - expected) ** 2 / expected))
         assert stat < chi2.ppf(0.99, df=19)
+
+    def test_gaussian_data_enter_through_their_law(self):
+        # Pe = 0 with gaussian(s) data: no x0 is drawn, so the centered moment
+        # is 2t + s at every record time, kappa_se is exactly 0, and the
+        # final positions have the law N(0, 2t + s)
+        s, t_end = 0.7, 2.0
+        cfg = SimConfig(dt=0.01, n_particles=20_000, seed=11, pe=0.0)
+        zero = GridFunction.from_callable(lambda y: 0.0 * y, 64)
+        res = simulate_forward(FlowSpec.steady(zero), 1.0, InitialData.gaussian(s),
+                               t_end, cfg, keep_positions=True)
+        np.testing.assert_allclose(res.centered_second(), 2.0 * res.times + s,
+                                   rtol=0.0, atol=1e-12)
+        assert res.kappa_se == 0.0
+        var = 2.0 * t_end + s
+        assert abs(np.var(res.final_x) - var) < 4 * var * math.sqrt(2 / cfg.n_particles)
+
+    def test_random_wave_data_rejected(self):
+        # signed data have no particle law
+        cfg = SimConfig(dt=0.01, n_particles=10, seed=0, pe=1.0)
+        zero = GridFunction.from_callable(lambda y: 0.0 * y, 64)
+        with pytest.raises(ValueError, match="random-wave"):
+            simulate_forward(FlowSpec.steady(zero), 1.0,
+                             InitialData.random_wave(2.0, 0.3 + 0.4j), 0.1, cfg)
 
     def test_steady_taylor_dispersion(self):
         v = GridFunction.from_callable(lambda y: y - 0.5, 512)

@@ -283,13 +283,16 @@ class TestHermite:
         z = np.linspace(-3.0, 3.0, 31)
         ys = rng.uniform(0.0, 1.0, 31)
         abar = series.mean_coefficients()
+        # synthesize works at one z: particles y at each z, and one y at many z
         cases = ((series.vbar(z), sum(abar[n] * h(n, z) for n in range(9))),
-                 (series.synthesize(0.37, z), loop(0.37, z)),              # one y, many z
-                 (series.synthesize(ys, 0.8), loop(ys, np.full(31, 0.8))), # particles at one z
-                 (series.synthesize(ys, z), loop(ys, z)))
+                 (np.array([series.synthesize(0.37, zk) for zk in z]), loop(0.37, z)),
+                 *((series.synthesize(ys, zk), loop(ys, np.full(31, zk))) for zk in z))
         for got, ref in cases:
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        buf = np.empty_like(ys)
+        assert series.synthesize(ys, 0.8, out=buf) is buf
+        assert np.array_equal(buf, series.synthesize(ys, 0.8))
 
     def test_orthogonality_table(self):
         z, w = np.polynomial.hermite.hermgauss(64)
@@ -337,13 +340,19 @@ class TestHermiteProject:
         zs = np.linspace(-2.5, 2.5, 9)
         for y in (0.0, 0.37, 1.0):
             target = flow(y, np.sqrt(gamma) * zs)
-            got = series.synthesize(y, zs)
+            got = np.array([series.synthesize(y, z) for z in zs])
             assert np.max(np.abs(got - target)) < 1e-10
 
     def test_series_requires_centered_a0(self):
         bad = GridFunction(self.nodes, np.ones_like(self.nodes))
         with pytest.raises(ValueError):
             HermiteSeries([bad])
+
+    def test_series_requires_one_grid(self):
+        # synthesize sums the modes on the grid, so every a_n shares it
+        coarse = GridFunction(np.linspace(0.0, 1.0, 65), np.zeros(65))
+        with pytest.raises(ValueError, match="one grid"):
+            HermiteSeries([coarse, GridFunction(self.nodes, self.nodes)])
 
 
 class TestCosineProject:
