@@ -54,15 +54,17 @@ class ArisRecord:
     times: np.ndarray
     t1bar: np.ndarray
     t2bar: np.ndarray
+    data_variance = 0.0     # x-variance s of the data, not dispersion; ForwardResult sets it
 
     def centered_second(self) -> np.ndarray:
         return self.t2bar - self.t1bar**2
 
     @property
     def kappa_estimate(self) -> np.ndarray:
-        """(T2bar - T1bar^2) / (2t); nan at t = 0."""
+        """(T2bar - T1bar^2 - s) / (2t), s = ``data_variance``; nan at t = 0."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.times > 0, self.centered_second() / (2.0 * self.times), np.nan)
+            spread = self.centered_second() - self.data_variance
+            return np.where(self.times > 0, spread / (2.0 * self.times), np.nan)
 
     def to_csv(self, path) -> None:
         _write_csv(path, "t,t1bar,t2bar,kappa_estimate",

@@ -8,12 +8,13 @@ lambda2 and lambda11, with enhanced diffusivity
 
 Every lambda2 here is built from the terms of
 lambda2 = 2 + sum_n 2 Pe^2 n! 2^n <a_n, (n gamma - Lap)^{-1} a_n> of a flow
-v(y, sqrt(gamma) z) = sum_n a_n(y) H_n(z), evaluated by ``_lambda2_term``:
-steady Taylor dispersion is the n = 0 term of a_0 = vbar, a multiplicative
-flow u(y) xi(t) the n = 1 term of a_1 = u sqrt(gamma)/2, and white noise its
-gamma -> infinity limit.  Also: the dual-route lambda11 and the dimensional
-linear-shear expression with its small-damping asymptotics.  The
-zero-diffusivity ensemble mean is the white-noise enhancement at Pe = 1.
+v(y, sqrt(gamma) z) = sum_n a_n(y) H_n(z), by ``_lambda2_terms`` (all n >= 1
+in one stacked resolvent): steady Taylor dispersion is the n = 0 term of
+a_0 = vbar, a multiplicative flow u(y) xi(t) the n = 1 term of a_1 =
+u sqrt(gamma)/2, and white noise its gamma -> infinity limit.  Also: the
+dual-route lambda11 and the dimensional linear-shear expression with its
+small-damping asymptotics.  The zero-diffusivity ensemble mean is the
+white-noise enhancement at Pe = 1.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .spectral_core import (
     GridFunction,
     HermiteSeries,
     _decay_integral,
+    _helmholtz_rows,
     _inner_weights,
     hermite_norm,
     helmholtz_inverse,
@@ -149,9 +151,18 @@ _Z_MAX = 8.0              # integral route of lambda11: outer grid |z| <= _Z_MAX
 _N_Z = 4000               # on _N_Z (even) intervals
 
 
-def _lambda2_term(a: GridFunction, n: int, gamma: float, pe: float, bc: str) -> float:
-    """The n-th term 2 Pe^2 n! 2^n <a, (n gamma - Lap)^{-1} a> of lambda2 - 2."""
-    return 2.0 * pe**2 * hermite_norm(n) * a.inner(helmholtz_inverse(a, n * gamma, bc))
+def _lambda2_terms(rows: list, gamma: float, pe: float, bc: str, first: int = 0) -> list:
+    """The terms 2 Pe^2 n! 2^n <a_n, (n gamma - Lap)^{-1} a_n> of lambda2 - 2
+    for GridFunctions a_n, n = first, first + 1, ...: n = 0 by the lambda = 0
+    inverse, all n >= 1 by one stacked resolvent (a zero row gives 0)."""
+    inner = [rows[0].inner(helmholtz_inverse(rows[0], 0.0, bc))] if first == 0 else []
+    if len(rows) > len(inner):
+        a = np.array([r.values for r in rows[len(inner):]])
+        lam = gamma * np.arange(first + len(inner), first + len(rows))
+        b = _helmholtz_rows(a, rows[0].nodes, lam, bc)
+        inner += (a * b * _inner_weights(a.shape[1] - 1)).sum(1).tolist()
+    c = 2.0 * pe**2
+    return [c * hermite_norm(n) * t for n, t in enumerate(inner, first)]
 
 
 def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
@@ -167,8 +178,7 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
     """
     _check_gamma_pe(gamma, pe)
     series = _require_general(flow)
-    terms = [_lambda2_term(a_n, n, gamma, pe, flow.bc) if np.any(a_n.values) else 0.0
-             for n, a_n in enumerate(series.coeffs)]
+    terms = _lambda2_terms(series.coeffs, gamma, pe, flow.bc)
     total = sum(terms)
     scale = max(abs(total), 1e-300)
     significant = [n for n, t in enumerate(terms) if abs(t) >= _SERIES_RTOL * scale]
@@ -223,9 +233,8 @@ def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float) -> float:
     h = z[1] - z[0]
     f = np.exp(-z * z) * series.vbar(z)
     # forward from -z_max on the left half, backward from +z_max on the right
-    fwd = _decay_integral(f, h, 0.0)
-    bwd = _decay_integral(f[::-1], h, 0.0)[::-1]
-    cum = np.where(z < 0, fwd, -bwd)
+    fwd, bwd = _decay_integral(np.array((f, f[::-1])), h, 0.0)
+    cum = np.where(z < 0, fwd, -bwd[::-1])
     outer = np.exp(z * z) * cum * cum
     # the package's one rule, scaled from [0, 1] to [-z_max, z_max]
     integral = 2.0 * _Z_MAX * np.sum(outer * _inner_weights(_N_Z))
@@ -268,7 +277,7 @@ def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
     lambda11 = Pe^2 (int u)^2."""
     _check_gamma_pe(gamma, pe)
     a_1 = u.with_values(0.5 * math.sqrt(gamma) * u.values)
-    lambda2 = 2.0 + _lambda2_term(a_1, 1, gamma, pe, bc)
+    lambda2 = 2.0 + _lambda2_terms([a_1], gamma, pe, bc, first=1)[0]
     lambda11 = pe**2 * u.mean() ** 2
     return EigenData(lambda2, lambda11, pe)
 
@@ -291,7 +300,7 @@ def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:
     cross-sectional mean (Galilean frame); with no-flux walls this is
     1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy."""
     _require_finite(pe=pe)
-    return 1.0 + 0.5 * _lambda2_term(v.centered(), 0, 0.0, pe, bc)
+    return 1.0 + 0.5 * _lambda2_terms([v.centered()], 0.0, pe, bc)[0]
 
 
 def small_gamma_asymptotic(kappa: float, g: float, gamma: float, L: float) -> float:

@@ -111,11 +111,12 @@ class ForwardResult(ArisRecord):
     ``kappa_se``, the MC standard error of the final kappa estimate (the
     fourth-moment standard error of the sample variance of the conditional
     means m = Pe D, divided by 2t; the data variance and the 2t of x noise
-    are exact), and optionally the final positions."""
+    are exact), the final positions if kept, and the data variance s."""
 
     kappa_se: float
     final_x: Optional[np.ndarray] = None
     final_y: Optional[np.ndarray] = None
+    data_variance: float = 0.0
 
 
 def _fold(y: np.ndarray) -> np.ndarray:
@@ -204,9 +205,9 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     seeded from (cfg.seed, realization).  Particles start uniform in y and
     walk between the walls the flow declares (``flow.bc``).  The Aris
     record is exact given the y-paths: with m = Pe D and s the data
-    variance (0 for the delta line), T1bar = <m>, T2bar = <m^2> + 2t + s,
-    and ``final_x`` is drawn from N(m, 2t + s).  Random-wave data raise
-    ``ValueError``.
+    variance (0 for the delta line, subtracted by ``kappa_estimate``),
+    T1bar = <m>, T2bar = <m^2> + 2t + s, and ``final_x`` is drawn from
+    N(m, 2t + s).  Random-wave data raise ``ValueError``.
     """
     if flow.kind == "steady":
         path = None
@@ -243,7 +244,7 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     if keep_positions:
         final_x = m + math.sqrt(2.0 * t + s) * rng.standard_normal(cfg.n_particles)
     return ForwardResult(np.array(rec_t), np.array(rec_m1), np.array(rec_m2), kappa_se,
-                         final_x, y if keep_positions else None)
+                         final_x, y if keep_positions else None, s)
 
 
 def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,

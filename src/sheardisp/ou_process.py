@@ -169,27 +169,39 @@ def _scan_weights(d: float, length: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def _decay_scan(inp: np.ndarray, d: float) -> np.ndarray:
-    """y_k = d y_{k-1} + inp_k from y_{-1} = 0, for 0 <= d <= 1, scanned at
-    once in m even blocks of L <= ceil(200/|ln d|) nodes (d = 1 is a plain
-    cumsum) as y_j = d^j cumsum(inp_i d^-i) plus d^(j+1) times the previous
-    block's last local value; the carry from two blocks back, below
-    d^L < e^-100, is dropped."""
-    n = inp.size
-    if d == 0.0:
-        return inp.copy()
-    if d == 1.0:
-        return np.cumsum(inp)
-    m = -(-n // math.ceil(200.0 / -math.log(d)))
-    up, down = _scan_weights(d, -(-n // m))
-    blocks = np.zeros((m, up.size))
-    blocks.reshape(-1)[:n] = inp
-    blocks *= down
-    np.cumsum(blocks, axis=1, out=blocks)
-    if m > 1:
-        blocks[1:] += (d * up[-1]) * blocks[:-1, -1:]
-    blocks *= up
-    return blocks.ravel()[:n]
+def _decay_scan(inp: np.ndarray, d) -> np.ndarray:
+    """y_k = d y_{k-1} + inp_k from y_{-1} = 0 along the last axis, for
+    0 <= d <= 1 a float or a list of one per row of the last leading axis,
+    scanned at once in m even blocks of L <= ceil(200/|ln d|) nodes (d = 1
+    is a plain cumsum) as y_j = d^j cumsum(inp_i d^-i) plus d^(j+1) times
+    the previous block's last local value; the carry from two blocks back,
+    below d^L < e^-100, is dropped.  The rows of one m form one stack."""
+    n, ds = inp.shape[-1], ([d] if isinstance(d, float) else d)
+    # m per rate; m = 0 marks d = 1 (a cumsum), m = -1 marks d = 0 (y = inp)
+    counts = [-(-n // math.ceil(200.0 / -math.log(v))) if 0.0 < v < 1.0 else int(v) - 1 for v in ds]
+    if len(set(counts)) > 1:
+        rows, out = inp.reshape(-1, len(ds), n), np.empty(inp.shape)
+        for m in set(counts):
+            sel = np.equal(counts, m)
+            ds_m = [v for v, c in zip(ds, counts) if c == m]
+            out.reshape(rows.shape)[:, sel] = _decay_scan(rows[:, sel], ds_m)
+        return out
+    m = counts[0]
+    if m < 1:
+        return np.cumsum(inp, axis=-1) if m == 0 else inp.copy()
+    length = -(-n // m)
+    up, down = (_scan_weights(d, length) if isinstance(d, float) else
+                np.array([_scan_weights(v, length) for v in ds]).transpose(1, 0, 2))
+    if m == 1:                              # no padding and no carry
+        return np.cumsum(inp * down, axis=-1) * up
+    blocks = np.zeros(inp.shape[:-1] + (m, length))
+    blocks.reshape(inp.shape[:-1] + (-1,))[..., :n] = inp
+    blocks *= down[..., None, :]
+    np.cumsum(blocks, axis=-1, out=blocks)
+    carry = np.asarray(d)[..., None, None] * up[..., None, -1:]       # d^L per row
+    blocks[..., 1:, :] += carry * blocks[..., :-1, -1:]
+    blocks *= up[..., None, :]
+    return blocks.reshape(inp.shape[:-1] + (-1,))[..., :n]
 
 
 def sample_ou(params: OUParams, t_grid: np.ndarray, seed: int,

@@ -4,11 +4,12 @@ One Helmholtz/Laplace inverse (-d^2/dy^2 + lambda)^{-1} on the channel
 cross section [0, 1]: for lambda > 0 the free-space kernel
 exp(-s|y - q|)/(2s), s = sqrt(lambda), plus one decaying exponential per
 wall, whose two coefficients are all that no-flux and periodic walls
-change; for lambda = 0 a double antiderivative by the same step integrals
-at s = 0.  Also grid functions with one quadrature rule (Boole's, for
-integrals, means and inner products), Hermite series and their
-Gauss-Hermite projections (numpy's ``hermval`` and ``hermvander`` do the
-Hermite algebra), and cosine-basis projections.
+change, solved for a stack of rows with one rate per row (every Hermite
+mode n >= 1 of lambda2 in one call); for lambda = 0 a double antiderivative
+by the same step integrals at s = 0.  Also grid functions with one
+quadrature rule (Boole's, for integrals, means and inner products),
+Hermite series and their Gauss-Hermite projections (numpy's ``hermval``
+and ``hermvander`` do the Hermite algebra), and cosine-basis projections.
 
 Convention fixed throughout the package: *physicists'* Hermite
 polynomials, orthogonal under the weight exp(-z^2) with
@@ -25,7 +26,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval, hermvander
@@ -65,7 +66,8 @@ class GridFunction:
         h = np.diff(self.nodes)
         if not (abs(self.nodes[0]) < 1e-14 and abs(self.nodes[-1] - 1.0) < 1e-14):
             raise ValueError("grid must span [0, 1]")
-        if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
+        # max|h - h_0| <= 1e-14 + 1e-12 |h_0|, False for NaN nodes
+        if not np.abs(h - h[0]).max() <= 1e-14 + 1e-12 * abs(h[0]):
             raise ValueError("grid must be uniform")
 
     @classmethod
@@ -84,7 +86,7 @@ class GridFunction:
 
     def is_zero_mean(self) -> bool:
         """Solvability of the lambda = 0 inverse: |mean| <= 1e-10 (1 + max|values|)."""
-        return bool(abs(self.mean()) <= 1e-10 * (1.0 + np.max(np.abs(self.values))))
+        return bool(abs(self.mean()) <= 1e-10 * (1.0 + np.abs(self.values).max()))
 
     def inner(self, other: "GridFunction") -> float:
         """Inner product: the integral of u*v over [0, 1]."""
@@ -99,6 +101,7 @@ class GridFunction:
             raise ValueError("nodes and values must have the same shape")
         out = copy.copy(self)
         out.values = values
+        out.__dict__.pop("_slope", None)    # the lookup slope of the old values
         return out
 
     def centered(self) -> "GridFunction":
@@ -121,11 +124,15 @@ class GridFunction:
         # i = n (slope 0) only at s = n, so y >= 1 returns v_n exactly;
         # fmin also drops NaN, which keeps the integer cast warning-free
         k = np.fmin(np.floor(s), n).astype(np.intp)
-        slope = np.ediff1d(self.values, to_end=0.0)
         s -= k          # the index converts to float exactly: s - i
-        s *= slope[k]
+        s *= self._slope[k]
         s += self.values[k]
         return s
+
+    @cached_property
+    def _slope(self) -> np.ndarray:
+        """v_{i+1} - v_i, 0 past the last node, once per values array."""
+        return np.ediff1d(self.values, to_end=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -153,33 +160,66 @@ _CUBIC_COEFFS = np.array([np.linalg.inv(np.vander(1.0 - np.arange(o, o + 4.0), 4
 _J = np.arange(24.0)
 _SERIES = 1.0 / ((np.arange(4.0)[:, None] + 1.0 + _J)
                  * np.array([math.factorial(j) for j in range(_J.size)], dtype=float))
+_STEP_0 = _CUBIC_COEFFS @ _SERIES[:, 0]      # step weights / h at s = 0: m_k(0) = 1/(k + 1)
 
 
-def _exp_moments(x: float) -> np.ndarray:
-    """m_k(x) = int_0^1 exp(-x u) u^k du for k = 0..3 and x >= 0: the power
-    series below x = 1, where the recursion loses digits (at x = 0 it is
-    1/(k + 1) exactly), else the upward recursion m_0 = (1 - exp(-x))/x,
-    m_k = (k m_{k-1} - exp(-x))/x."""
-    if x < 1.0:
-        return _SERIES @ (-x) ** _J
-    e = math.exp(-x)
-    m = [-math.expm1(-x) / x]
-    for k in (1.0, 2.0, 3.0):
-        m.append((k * m[-1] - e) / x)
-    return np.array(m)
+def _exp_moments(x) -> np.ndarray:
+    """m_k(x) = int_0^1 exp(-x u) u^k du for k = 0..3, shape x.shape + (4,),
+    for x >= 0: the power series below x = 1, where the recursion loses
+    digits (at x = 0 it is 1/(k + 1) exactly), else the upward recursion
+    m_0 = (1 - exp(-x))/x, m_k = (k m_{k-1} - exp(-x))/x."""
+    x = np.asarray(x, dtype=float)
+    m = (_SERIES @ ((-np.minimum(x, 1.0))[..., None] ** _J)[..., None])[..., 0]
+    for i, v in enumerate(x.ravel().tolist()):
+        if v >= 1.0:
+            e, row = math.exp(-v), [-math.expm1(-v) / v]
+            for k in (1.0, 2.0, 3.0):
+                row.append((k * row[-1] - e) / v)
+            m.reshape(-1, 4)[i] = row
+    return m
 
 
-def _decay_integral(a_vals: np.ndarray, h: float, s: float) -> np.ndarray:
-    """F(y_k) = int_0^{y_k} exp(-s (y_k - q)) a(q) dq, fourth order at every
-    s >= 0; s = 0 is the running integral, exact for cubics.  Each step
-    takes the kernel exactly against the cubic through four neighbouring
-    nodes, by the moments ``_exp_moments(s h)``, and the decay scan
-    F_k = exp(-s h) F_{k-1} + step_k sums them (one cumsum at s = 0)."""
-    x = s * h
-    w = h * (_CUBIC_COEFFS @ _exp_moments(x))
-    inp = np.concatenate(([0.0, w[0] @ a_vals[:4]], np.correlate(a_vals, w[1], "valid"),
-                          [w[2] @ a_vals[-4:]]))
-    return _decay_scan(inp, math.exp(-x))
+def _decay_integral(a_vals: np.ndarray, h: float, s) -> np.ndarray:
+    """F(y_k) = int_0^{y_k} exp(-s (y_k - q)) a(q) dq along the last axis, s a
+    float or one rate per row of the last leading axis, fourth order at
+    every s >= 0; s = 0 is the running integral, exact for cubics.  Each
+    step takes the kernel exactly against the cubic through four
+    neighbouring nodes, by the moments ``_exp_moments(s h)`` (inside, one
+    ``np.correlate`` per row, twice as fast as shifted slices), and
+    ``_decay_scan`` sums F_k = exp(-s h) F_{k-1} + step_k."""
+    x = np.asarray(s * h, dtype=float)
+    xs = x.ravel().tolist()
+    zero = max(xs) == 0.0
+    w = h * (_STEP_0 if zero else (_CUBIC_COEFFS @ _exp_moments(x)[..., None, :, None])[..., 0])
+    n = a_vals.shape[-1]
+    inp = np.zeros(a_vals.shape)
+    inp[..., 1] = (w[..., 0, None, :] @ a_vals[..., :4, None])[..., 0, 0]
+    inp[..., -1] = (w[..., 2, None, :] @ a_vals[..., -4:, None])[..., 0, 0]
+    taps, rows = w[..., 1, :].reshape(-1, 4), inp.reshape(-1, n)
+    for i, a_row in enumerate(a_vals.reshape(-1, n)):
+        rows[i, 2:-1] = np.correlate(a_row, taps[i % len(taps)], "valid")
+    d = 1.0 if zero else [math.exp(-v) for v in xs]
+    return _decay_scan(inp, d if x.ndim or zero else d[0])
+
+
+def _helmholtz_rows(a: np.ndarray, nodes: np.ndarray, lam: np.ndarray, bc: str) -> np.ndarray:
+    """The lam > 0 kernel of ``helmholtz_inverse`` for a stack of rows a_r on
+    ``nodes``, one rate lam_r per row; all decay integrals in one call."""
+    s = np.sqrt(lam)
+    fwd, bwd = _decay_integral(np.array((a, a[:, ::-1])), nodes[1] - nodes[0], s)
+    bwd, s, ms = bwd[:, ::-1], s[:, None], -s[:, None]
+    f1, b0, e = fwd[:, -1:], bwd[:, :1], np.exp(ms)
+    if bc == "no-flux":
+        d = -np.expm1(2.0 * ms)             # 1 - E^2
+        alpha, beta = (b0 + e * f1) / d, (f1 + e * b0) / d
+    elif bc == "periodic":
+        d = -np.expm1(ms)                   # 1 - E
+        alpha, beta = f1 / d, b0 / d
+    else:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    b = (fwd + bwd + alpha * np.exp(ms * nodes) + beta * np.exp(ms * (1.0 - nodes))) / (2.0 * s)
+    w = _inner_weights(nodes.size - 1)
+    return b + ((a * w).sum(-1) / lam - (b * w).sum(-1))[:, None]
 
 
 def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
@@ -196,7 +236,8 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
     no-flux (B(0) + E F(1), F(1) + E B(0)) / (1 - E^2),
     periodic (F(1), B(0)) / (1 - E).  Both walls give lam mean(b) = mean(a),
     which sets b's constant mode, where the walls would otherwise amplify
-    the quadrature error of F(1) and B(0) by 1/lam as lam -> 0.
+    the quadrature error of F(1) and B(0) by 1/lam as lam -> 0.  This is
+    the one-row case of the stacked kernel ``_helmholtz_rows``.
 
     lam = 0 needs zero-mean data (else SolvabilityError) and returns
     -D(y), D(y) = int_0^y int_0^{y1} a; periodic walls add D(1) y + D(1),
@@ -206,28 +247,15 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
         raise ValueError(f"unknown boundary condition {bc!r}")
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    y = a.nodes
     if lam == 0.0:
         if not a.is_zero_mean():
             raise SolvabilityError(f"{bc} inverse at lambda=0 needs zero-mean data")
         second = _decay_integral(_decay_integral(a.values, a.h, 0.0), a.h, 0.0)
         b = -second
         if bc == "periodic":
-            b = b + second[-1] * y + second[-1]
+            b = b + second[-1] * a.nodes + second[-1]
         return a.with_values(b)
-    s = np.sqrt(lam)
-    fwd = _decay_integral(a.values, a.h, s)
-    bwd = _decay_integral(a.values[::-1], a.h, s)[::-1]
-    f1, b0, e = fwd[-1], bwd[0], np.exp(-s)
-    if bc == "no-flux":
-        d = -np.expm1(-2.0 * s)             # 1 - E^2
-        alpha, beta = (b0 + e * f1) / d, (f1 + e * b0) / d
-    else:
-        d = -np.expm1(-s)                   # 1 - E
-        alpha, beta = f1 / d, b0 / d
-    b = a.with_values((fwd + bwd + alpha * np.exp(-s * y) + beta * np.exp(-s * (1.0 - y)))
-                      / (2.0 * s))
-    return b.with_values(b.values + (a.mean() / lam - b.mean()))
+    return a.with_values(_helmholtz_rows(a.values[None], a.nodes, np.array([float(lam)]), bc)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,16 @@ class TestSimulate:
         widths = np.diff(hist[:, 0]).mean()
         assert np.sum(hist[:, 1] * widths) == pytest.approx(1.0, abs=0.05)
 
+    def test_gaussian_data_variance_is_not_dispersion(self, tmp_path, capsys):
+        # at Pe = 0 only molecular diffusion spreads the scalar: T2bar - T1bar^2
+        # = 2t + s, so the estimate reads exactly 1 once the data variance
+        # s = 0.5 is taken out (it read 1 + s/(2t) = 1.25 with it)
+        code, _ = run_cli(["simulate", "--pe", "0", "--init-s", "0.5", "--t-end", "1",
+                           "--particles", "200", "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        rec = json.loads((tmp_path / "simulate_summary.ndjson").read_text().splitlines()[0])
+        assert rec["kappa_estimate_final"] == 1.0
+
     def test_thread_count_leaves_outputs_unchanged(self, tmp_path, capsys):
         # each walk owns its work arrays, so realizations walked on three
         # threads at once write the same bytes as one thread in turn

@@ -210,6 +210,24 @@ class TestGeneralSeries:
         with pytest.raises(TruncationError):
             lambda2_general(FlowSpec.general(series), 1.0, 1.0)
 
+    def test_zero_rows_keep_the_diagnostics(self):
+        # a zero mode inside and a zero terminator: every nonzero mode
+        # solved in one stack gives the terms of one resolvent per mode,
+        # n_terms counts up to the last nonzero mode, and the zeros read 0
+        gamma, pe = 2.0, 1.5
+        a0 = GridFunction(NODES, np.cos(np.pi * NODES))
+        a1, a3 = GridFunction(NODES, NODES**2 + 0.2), GridFunction(NODES, 0.1 * NODES)
+        series = HermiteSeries([a0, a1, ZEROS, a3, ZEROS])
+        res = lambda2_general(FlowSpec.general(series), gamma, pe)
+        one_by_one = sum(2 * pe**2 * math.factorial(n) * 2**n
+                         * a.inner(helmholtz_inverse(a, n * gamma, "no-flux"))
+                         for n, a in ((0, a0), (1, a1), (3, a3)))
+        assert res.value - 2.0 == pytest.approx(one_by_one, rel=1e-13)
+        assert (res.n_terms, res.stopped_by) == (4, "tolerance")
+        # the same modes without the terminator: the top mode is significant
+        with pytest.raises(TruncationError):
+            lambda2_general(FlowSpec.general(HermiteSeries([a0, a1, ZEROS, a3])), gamma, pe)
+
     def test_energy_inequality_and_floor(self):
         corpus = [
             hermite_project(lambda y, xi: y * xi, 1.0, 8, NODES),

@@ -234,8 +234,9 @@ class TestForwardSimulation:
 
     def test_gaussian_data_enter_through_their_law(self):
         # Pe = 0 with gaussian(s) data: no x0 is drawn, so the centered moment
-        # is 2t + s at every record time, kappa_se is exactly 0, and the
-        # final positions have the law N(0, 2t + s)
+        # is 2t + s at every record time, the kappa estimate (s taken out) is
+        # 1, kappa_se is exactly 0, and the final positions have the law
+        # N(0, 2t + s)
         s, t_end = 0.7, 2.0
         cfg = SimConfig(dt=0.01, n_particles=20_000, seed=11, pe=0.0)
         zero = GridFunction.from_callable(lambda y: 0.0 * y, 64)
@@ -243,6 +244,8 @@ class TestForwardSimulation:
                                t_end, cfg, keep_positions=True)
         np.testing.assert_allclose(res.centered_second(), 2.0 * res.times + s,
                                    rtol=0.0, atol=1e-12)
+        assert res.data_variance == s
+        np.testing.assert_allclose(res.kappa_estimate[1:], 1.0, rtol=0.0, atol=1e-10)
         assert res.kappa_se == 0.0
         var = 2.0 * t_end + s
         assert abs(np.var(res.final_x) - var) < 4 * var * math.sqrt(2 / cfg.n_particles)

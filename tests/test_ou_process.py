@@ -270,6 +270,17 @@ class TestDecayScan:
                 ref[k] = acc
             assert np.max(np.abs(_decay_scan(inp, d) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_stacked_rows_are_their_one_row_scans(self):
+        # one d per row of the last leading axis, with d = 0, d = 1, one
+        # block and several blocks mixed: each row gets its 1-D scan's bits
+        rng = np.random.default_rng(13)
+        d = [0.0, 1.0, 0.999, 0.5, math.exp(-1e-3), 0.97]
+        inp = rng.standard_normal((2, len(d), 3_000))
+        out = _decay_scan(inp, d)
+        for i, j in np.ndindex(*inp.shape[:2]):
+            assert np.array_equal(out[i, j], _decay_scan(inp[i, j], d[j]))
+        assert np.array_equal(_decay_scan(inp, d[2:3] * 6), _decay_scan(inp, d[2]))
+
     def test_leaves_input_alone(self):
         inp = np.arange(5.0)
         out = _decay_scan(inp, 0.0)

@@ -13,6 +13,7 @@ from sheardisp.spectral_core import (
     SolvabilityError,
     _decay_integral,
     _exp_moments,
+    _helmholtz_rows,
     cosine_project,
     helmholtz_inverse,
     hermite_norm,
@@ -34,6 +35,25 @@ class TestGridFunction:
             g.with_values(np.zeros(8))                           # wrong shape
         h = g.with_values(np.ones(9))
         assert h.nodes is g.nodes and g.values[0] == 0.0 and h.values[0] == 1.0
+
+    def test_nan_node_is_not_uniform(self):
+        # the one-reduction spacing check must fail for NaN, which every
+        # comparison rejects, not pass it as max|h - h_0| = NaN <= bound
+        nodes = np.linspace(0, 1, 9)
+        nodes[4] = np.nan
+        with pytest.raises(ValueError, match="uniform"):
+            GridFunction(nodes, np.zeros(9))
+
+    def test_lookup_slope_follows_the_values(self):
+        # the slope is kept with the values array it was made from: a copy
+        # with new values (with_values, centered) looks up its own profile
+        g = GridFunction.from_callable(lambda y: y**2, 64)
+        y = np.linspace(-0.1, 1.1, 301)
+        before = g(y)
+        for h, f in ((g.with_values(np.cos(3 * g.nodes)), lambda y: np.cos(3 * y)),
+                     (g.centered(), lambda y: y**2 - g.mean())):
+            assert np.array_equal(h(y), np.interp(y, h.nodes, f(h.nodes)))
+        assert np.array_equal(g(y), before)
 
     def test_lookup_matches_interp(self):
         # index arithmetic on the uniform grid against np.interp on its nodes:
@@ -221,6 +241,34 @@ def test_exp_moments_against_incomplete_gamma():
     y = np.linspace(0.0, 1.0, 17)
     running = _decay_integral(2 * y**3 - y**2 + 0.5 * y - 0.1, y[1], 0.0)
     assert np.max(np.abs(running - (y**4 / 2 - y**3 / 3 + y**2 / 4 - 0.1 * y))) <= 1e-15
+
+
+def test_exp_moments_of_an_array_are_its_scalars():
+    # one row per x, series and recursion branches mixed, with the bits
+    # each x gets alone (the scalar rule the Aris solver takes)
+    x = np.array([[0.0, 3e-4, 0.7], [1.0, 2.5, 40.0]])
+    m = _exp_moments(x)
+    assert m.shape == (2, 3, 4)
+    assert np.array_equal(m, [[_exp_moments(float(v)) for v in row] for row in x])
+
+
+@pytest.mark.parametrize("bc", ["no-flux", "periodic"])
+@pytest.mark.parametrize("lams", [[2.0, 900.0, 9216.0, 0.05],        # x = s h up to 1.5, one block
+                                  [3.0, 400.0, 9e4, 1e10]],          # s = 300 and 1e5: mixed blocks
+                         ids=["one-block", "multi-block"])
+def test_stacked_rows_match_one_row_calls(bc, lams):
+    # x = s h on the n = 64 grid: sqrt(2)/64 and 30/64 take the series,
+    # 96/64 = 1.5 the recursion; s = 300 needs (n - 1) s h > 200, so its
+    # row scans in two blocks, and s = 1e5 underflows exp(-s h) to 0, beside
+    # one-block rows in the same stack
+    rng = np.random.default_rng(7)
+    nodes = np.linspace(0.0, 1.0, 65)
+    rows = np.array([np.cos(k * np.pi * nodes) + rng.normal(size=4) @ [np.ones(65), nodes, nodes**2, nodes**3]
+                     for k in range(len(lams))])
+    stacked = _helmholtz_rows(rows, nodes, np.array(lams), bc)
+    for row, lam, b in zip(rows, lams, stacked):
+        one = helmholtz_inverse(GridFunction(nodes, row), lam, bc).values
+        assert np.max(np.abs(b - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 @pytest.mark.parametrize("bc", ["no-flux", "periodic"])
