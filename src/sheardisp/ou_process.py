@@ -34,8 +34,8 @@ class OUParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
 
 @dataclass
@@ -59,7 +59,7 @@ class OUPath:
             raise ValueError("give exactly one of values and integral")
         t = self.times = np.asarray(self.times, dtype=float)
         self.dt = dt = _grid_step(t)
-        if not np.max(np.abs(t - dt * np.arange(t.size))) <= 1e-9 * dt:
+        if not np.abs(t - _grid_ramp(dt, t.size)).max() <= 1e-9 * dt:
             raise ValueError("path grid must be uniform and start at 0")
         given = self.integral if self.values is None else self.values
         if np.shape(given) != t.shape:
@@ -153,10 +153,19 @@ def _grid_step(t: np.ndarray) -> float:
     return float(t[1] - t[0])
 
 
+@lru_cache(maxsize=16)
+def _grid_ramp(dt: float, n: int) -> np.ndarray:
+    """The nodes dt*j, j = 0..n-1, of the uniform grid ``OUPath`` checks against."""
+    ramp = dt * np.arange(n)
+    ramp.flags.writeable = False        # shared through the cache
+    return ramp
+
+
 def _draw_ou_values(gamma: float, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     decay, var = transition_moments(gamma, _grid_step(t))
-    normals = rng.standard_normal(t.size)
-    inp = np.concatenate(([np.sqrt(0.5 * gamma) * normals[0]], np.sqrt(var) * normals[1:]))
+    inp = rng.standard_normal(t.size)
+    inp[0] *= math.sqrt(0.5 * gamma)
+    inp[1:] *= math.sqrt(var)
     return _decay_scan(inp, decay)
 
 
@@ -193,7 +202,9 @@ def _decay_scan(inp: np.ndarray, d) -> np.ndarray:
     up, down = (_scan_weights(d, length) if isinstance(d, float) else
                 np.array([_scan_weights(v, length) for v in ds]).transpose(1, 0, 2))
     if m == 1:                              # no padding and no carry
-        return np.cumsum(inp * down, axis=-1) * up
+        out = inp * down
+        np.cumsum(out, axis=-1, out=out)
+        return np.multiply(out, up, out=out)
     blocks = np.zeros(inp.shape[:-1] + (m, length))
     blocks.reshape(inp.shape[:-1] + (-1,))[..., :n] = inp
     blocks *= down[..., None, :]
@@ -221,7 +232,8 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoidal integral on a uniform grid of step dt, zero at the first node."""
     out = np.empty(values.size)
     out[0] = 0.0
-    out[1:] = np.cumsum(0.5 * dt * (values[:-1] + values[1:]))
+    steps = np.add(values[:-1], values[1:], out=out[1:])
+    np.cumsum(np.multiply(steps, 0.5 * dt, out=steps), out=steps)
     return out
 
 

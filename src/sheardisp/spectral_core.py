@@ -156,10 +156,10 @@ def _inner_weights(n: int) -> np.ndarray:
 # (c = 0), {-1..2} inside (c = 1) and {-2..1} on the last step (c = 2)
 _CUBIC_COEFFS = np.array([np.linalg.inv(np.vander(1.0 - np.arange(o, o + 4.0), 4, increasing=True)).T
                           for o in (0.0, -1.0, -2.0)])
-# below x = 1, m_k(x) = sum_j (-x)^j / ((k + 1 + j) j!), 24 terms (1/24! < 1e-23)
+# below x = 1, m_k(x) = sum_j x^j (-1)^j / ((k + 1 + j) j!), 24 terms (1/24! < 1e-23)
 _J = np.arange(24.0)
-_SERIES = 1.0 / ((np.arange(4.0)[:, None] + 1.0 + _J)
-                 * np.array([math.factorial(j) for j in range(_J.size)], dtype=float))
+_SERIES = (-1.0) ** _J / ((np.arange(4.0)[:, None] + 1.0 + _J)
+                          * np.array([math.factorial(j) for j in range(_J.size)], dtype=float))
 _STEP_0 = _CUBIC_COEFFS @ _SERIES[:, 0]      # step weights / h at s = 0: m_k(0) = 1/(k + 1)
 
 
@@ -169,7 +169,7 @@ def _exp_moments(x) -> np.ndarray:
     digits (at x = 0 it is 1/(k + 1) exactly), else the upward recursion
     m_0 = (1 - exp(-x))/x, m_k = (k m_{k-1} - exp(-x))/x."""
     x = np.asarray(x, dtype=float)
-    m = (_SERIES @ ((-np.minimum(x, 1.0))[..., None] ** _J)[..., None])[..., 0]
+    m = (_SERIES @ (np.minimum(x, 1.0)[..., None] ** _J)[..., None])[..., 0]
     for i, v in enumerate(x.ravel().tolist()):
         if v >= 1.0:
             e, row = math.exp(-v), [-math.expm1(-v) / v]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheardisp.ou_process import OUParams, OUPath, sample_ou, time_grid
-from sheardisp.spectral_core import GridFunction, cosine_eigenvalue
+from sheardisp.spectral_core import GridFunction, cosine_eigenvalue, cosine_project
 from sheardisp.eff_diffusivity import (
     EigenData, lambda_multiplicative, linear_profile, cosine_profile,
 )
@@ -53,6 +53,19 @@ class TestSolveAris:
         rec = solve_aris(linear_profile(), 2.0, path, n_max=8)
         assert np.all(rec.centered_second() >= 0.0)
 
+    def test_equals_the_sum_of_mode_integrals(self):
+        # the solve sums the weighted amplitudes before one trapezoid; it is
+        # the mode-by-mode sum of 2 Pe^2 c_n^2 J_n up to roundoff (2.6e-14
+        # of the shear part measured on 400-long paths)
+        u, pe = linear_profile(), 10.0
+        path = sample_ou(OUParams(1.0), time_grid(40.0, 0.005), seed=3, realization=1)
+        rec = solve_aris(u, pe, path, n_max=9)
+        coeffs = cosine_project(u, 9)
+        shear = sum(2.0 * pe**2 * coeffs[n] ** 2 * exp_weighted_integral(path, cosine_eigenvalue(n))
+                    for n in range(1, 10))
+        gap = rec.centered_second() - (2.0 * path.times + shear)
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(shear))
+
     def test_input_validation(self):
         path = _zero_path(1.0)
         with pytest.raises(ValueError):
@@ -83,6 +96,13 @@ class TestKappaFromRealization:
             rec = solve_aris(linear_profile(), 1.0, path, n_max=9)
             ests.append(kappa_from_realization(rec))
         assert abs(np.mean(ests) / closed - 1.0) < 0.01
+
+    def test_slope_matches_polyfit(self):
+        path = sample_ou(OUParams(1.0), time_grid(100.0, 0.01), seed=5)
+        rec = solve_aris(linear_profile(), 3.0, path, n_max=9)
+        sel = rec.times >= rec.times[-1] / 2.0
+        ref = np.polyfit(rec.times[sel], 0.5 * rec.centered_second()[sel], 1)[0]
+        assert kappa_from_realization(rec) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_window_guard(self):
         # the trailing half of a 15-long record is shorter than MIN_WINDOW

@@ -26,6 +26,12 @@ class TestParamsAndPathValidation:
         with pytest.raises(ValueError):
             OUParams(gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_params_reject_non_finite(self, gamma):
+        # an infinite gamma once passed and sampled to [-inf, inf, ...]
+        with pytest.raises(ValueError, match="^gamma must be positive and finite"):
+            OUParams(gamma)
+
     def test_path_grid(self):
         with pytest.raises(ValueError):
             OUPath(times=np.array([0.5, 1.0]), values=np.zeros(2))
@@ -67,6 +73,17 @@ class TestParamsAndPathValidation:
         with pytest.raises(ValueError, match="uniform"):
             sample_brownian_scaled(np.array([0.0, 0.1, 0.3]), 1.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [2e-9, -2e-9, math.nan])
+    def test_one_interior_node_off_grid_raises(self, bad):
+        # the check allows 1e-9 dt of roundoff; twice that on one node is a
+        # different grid, and a NaN node is no grid
+        grid = time_grid(1.0, 0.01)
+        grid[37] += bad * 0.01
+        with pytest.raises(ValueError, match="uniform"):
+            OUPath(times=grid, values=np.zeros(grid.size))
+        grid[37] = 0.37 + 0.5e-9 * 0.01
+        assert OUPath(times=grid, values=np.zeros(grid.size)).dt == 0.01
+
     def test_mode_errors(self):
         wp = sample_brownian_scaled(time_grid(1.0, 0.5), 1.0, seed=0)
         with pytest.raises(ValueError):
@@ -101,6 +118,22 @@ class TestReproducibility:
         assert np.array_equal(a.integral, b.integral)
         c = sample_ou(OUParams(1.5), grid, seed=43)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("gamma, values, integral", [
+        # one scan block (gamma 1) and three blocks of four nodes (gamma 500)
+        (1.0, [-0.14286862918559967, 0.06705915464039101, -0.2735432021836825,
+               -0.31875874847178126],
+         [-0.004738092159075541, 0.0011194921941234809, -0.2775694114439674]),
+        (500.0, [-3.1946396671121127, 9.182608325701377, -10.52756981469476,
+                 16.33780238778252],
+         [0.374248041161829, -0.26640615682311686, -3.75532428593197]),
+    ])
+    def test_stream_is_pinned(self, gamma, values, integral):
+        # frozen bits: a change to the draw, the scan or the trapezoid that
+        # moves one of these entries by one ulp fails here
+        p = sample_ou(OUParams(gamma), time_grid(1.0, 0.125), seed=2024, realization=5)
+        assert p.values[[0, 1, 4, 8]].tolist() == values
+        assert p.integral[[1, 4, 8]].tolist() == integral
 
     def test_realizations_independent_of_order(self):
         grid = time_grid(1.0, 0.05)
