@@ -104,6 +104,7 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _require_finite(pe=pe)
     coeffs = cosine_project(u, n_max)
     t1 = pe * coeffs[0] * path.integral
     modes = [n for n in range(1, n_max + 1) if coeffs[n] != 0.0]

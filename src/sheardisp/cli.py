@@ -15,13 +15,15 @@ whose fields are flags of the subcommand; a flag given on the command line
 overrides its document field.  Every writing subcommand drops a
 manifest.json recording the resolved config (with the output directory,
 and the seed where one is read), its hash and the package version, so a
-run can be reproduced byte-for-byte (manifest timestamp aside).
+run can be reproduced byte-for-byte (manifest timestamp aside).  Each
+handler imports the layers it runs in its first lines, so a start-up loads
+only those: ``kappa-eff`` never loads the Aris, Monte Carlo, invariant-
+measure or acceptance modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -33,24 +35,13 @@ import numpy as np
 
 from . import __version__
 from .ou_process import OUParams, _step_count, _write_csv, sample_ou, time_grid
-from .spectral_core import GridFunction
-from .eff_diffusivity import (
-    FlowSpec, lambda_multiplicative, lambda_white, taylor_steady,
-    linear_profile, cosine_profile,
-)
-from .aris_solver import (
-    MIN_WINDOW, EstimatorDomainError, solve_aris, kappa_from_realization, estimate_gamma,
-)
-from .monte_carlo import SimConfig, InitialData, simulate_forward
-from .invariant_measure import (
-    pdf_deterministic, cdf_deterministic, pdf_random_wave, cdf_random_wave,
-)
-from . import acceptance
 
 
 def _load_profile(spec: str) -> GridFunction:
     """Flow presets 'linear', 'cosine', 'cosine:k', or a CSV of finite (y, u)
     rows with y increasing from <= 0 to >= 1; 512 intervals."""
+    from .spectral_core import GridFunction
+    from .eff_diffusivity import cosine_profile, linear_profile
     if spec == "linear":
         return linear_profile()
     if spec == "cosine":
@@ -170,8 +161,8 @@ def _validate_ranges(cfg: dict) -> None:
 
 
 def _write_manifest(outdir: Path, cfg: dict, extra: dict | None = None) -> None:
+    import hashlib
     import scipy    # only for its version; loads no submodule
-
     doc = {k: v for k, v in sorted(cfg.items())}
     payload = json.dumps(doc, sort_keys=True).encode()
     manifest = {
@@ -209,6 +200,7 @@ def _map_realizations(fn, n: int, threads: int) -> list:
 # --------------------------------------------------------------------------
 
 def cmd_kappa_eff(cfg: dict) -> int:
+    from .eff_diffusivity import lambda_multiplicative, lambda_white, taylor_steady
     u = _load_profile(cfg["flow"])
     record = {"flow": cfg["flow"], "bc": cfg["bc"], "pe": cfg["pe"]}
     if cfg["white_noise"]:
@@ -232,6 +224,8 @@ def cmd_kappa_eff(cfg: dict) -> int:
 
 
 def cmd_aris(cfg: dict) -> int:
+    from .eff_diffusivity import lambda_multiplicative
+    from .aris_solver import MIN_WINDOW, kappa_from_realization, solve_aris
     # checked before any output: the kappa_window_slope summary needs its window
     if cfg["t_end"] < 2.0 * MIN_WINDOW:
         raise SystemExit(f"config field t_end={cfg['t_end']!r} below {2.0 * MIN_WINDOW:g}, "
@@ -268,6 +262,8 @@ def cmd_aris(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    from .eff_diffusivity import FlowSpec
+    from .monte_carlo import InitialData, SimConfig, simulate_forward
     u = _load_profile(cfg["flow"])
     out = _outdir(cfg)
     flow = (FlowSpec.steady(u, cfg["bc"]) if cfg["steady"]
@@ -308,6 +304,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_pdf(cfg: dict) -> int:
+    from .invariant_measure import (
+        cdf_deterministic, cdf_random_wave, pdf_deterministic, pdf_random_wave)
     out = _outdir(cfg)
     bins = cfg["bins"]
     if cfg["mode"] == "deterministic":
@@ -331,6 +329,7 @@ def cmd_pdf(cfg: dict) -> int:
 
 
 def cmd_estimate_gamma(cfg: dict) -> int:
+    from .aris_solver import EstimatorDomainError, estimate_gamma
     grid = time_grid(cfg["t_end"], cfg["dt"])
     ghats = []
     for i in range(cfg["paths"]):
@@ -353,6 +352,7 @@ def cmd_estimate_gamma(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
+    from . import acceptance
     names = cfg["only"].split(",") if cfg["only"] else None
     unknown = [k for k in names or () if k not in acceptance.CRITERIA]
     if unknown:

@@ -16,8 +16,9 @@ The moment quadrature integrates the density itself under z = exp(-v^2),
 which removes both endpoint singularities (the integrand is Gaussian in v).
 
 The deterministic family needs numpy and the stdlib erfc only; the
-random-wave functions import scipy.special where they call it, so
-importing this module (and the CLI) loads no scipy submodule.
+random-wave functions import scipy.special where they call it, and both
+Gauss-Legendre rules are built on first use, so importing this module
+loads neither a scipy submodule nor ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ def moment_function(s: float, beta: float) -> float:
     return (s * beta + 1.0) ** -0.5
 
 
-_MOMENT_NODES, _MOMENT_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
 def pdf_moment_quadrature(n: float, beta: float) -> float:
     """Independent check of moment_function: int z^n f(z) dz of pdf_deterministic
     under z = exp(-v^2), 32 Gauss-Legendre nodes on v^2 <= 40/(n + 1/beta)."""
@@ -106,9 +104,16 @@ def pdf_moment_quadrature(n: float, beta: float) -> float:
         raise ValueError(f"moment quadrature needs n + 1/beta > 40/700, clear of the pole "
                          f"n*beta + 1 = 0, got n={n!r}, beta={beta!r}")
     half = 0.5 * math.sqrt(40.0 / rate)
-    v = half * (_MOMENT_NODES + 1.0)
+    nodes, weights = _moment_rule()
+    v = half * (nodes + 1.0)
     z = np.exp(-v * v)
-    return float(half * np.sum(_MOMENT_WEIGHTS * z**n * pdf_deterministic(z, beta) * 2.0 * v * z))
+    return float(half * np.sum(weights * z**n * pdf_deterministic(z, beta) * 2.0 * v * z))
+
+
+@lru_cache(maxsize=1)
+def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
+    """32-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 # ---------------------------------------------------------------------------

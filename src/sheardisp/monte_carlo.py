@@ -54,10 +54,10 @@ class SimConfig:
     pe: float = 1.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.n_particles < 1:
-            raise ValueError("particle count must be >= 1")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
+            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
         if not (math.isfinite(self.pe) and self.pe >= 0):
             raise ValueError(f"pe must be finite and nonnegative, got {self.pe!r}")
 
@@ -315,6 +315,8 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
     a^2 t should stay small); without paths the phase is drawn uniform,
     which is the long-time law.
     """
+    if not 0 < a < math.inf:
+        raise ValueError(f"random-wave wavenumber a must be finite and positive, got {a!r}")
     rng = np.random.default_rng(realization_seed(seed, 0))
     if paths is not None:
         if not paths:
@@ -327,6 +329,8 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
     else:
         if n is None:
             raise ValueError("need either an ensemble of paths or a sample count")
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"sample count n must be an integer >= 1, got {n!r}")
         eta = rng.uniform(0.0, 2.0 * math.pi, n)
     amplitude = rng.standard_normal(eta.size)
     return amplitude * np.cos(eta)

@@ -245,6 +245,8 @@ def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
     The pointwise driving process has no finite-valued samples in this
     limit, so the path carries the integral and no values.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     t = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(realization_seed(seed, realization))
     incs = math.sqrt(_grid_step(t)) * rng.standard_normal(t.size - 1)
@@ -254,6 +256,8 @@ def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
 def integral_variance(gamma: float, t) -> np.ndarray:
     """Var of int_0^t xi(s) ds for the stationary OU process:
     t + (exp(-gamma t) - 1)/gamma."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     t = np.asarray(t, dtype=float)
     return t + np.expm1(-gamma * t) / gamma
 

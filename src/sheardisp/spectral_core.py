@@ -9,7 +9,9 @@ mode n >= 1 of lambda2 in one call); for lambda = 0 a double antiderivative
 by the same step integrals at s = 0.  Also grid functions with one
 quadrature rule (Boole's, for integrals, means and inner products),
 Hermite series and their Gauss-Hermite projections (numpy's ``hermval``
-and ``hermvander`` do the Hermite algebra), and cosine-basis projections.
+and ``hermvander`` do the Hermite algebra, reached where they are called
+so that importing this module leaves ``numpy.polynomial`` unloaded), and
+cosine-basis projections.
 
 Convention fixed throughout the package: *physicists'* Hermite
 polynomials, orthogonal under the weight exp(-z^2) with
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss, hermval, hermvander
 
 from .ou_process import _decay_scan
 
@@ -296,13 +297,14 @@ class HermiteSeries:
 
     def vbar(self, z) -> np.ndarray:
         """Cross-sectionally averaged flow sum_n abar_n H_n(z)."""
-        return hermval(np.asarray(z, dtype=float), self.mean_coefficients())
+        return np.polynomial.hermite.hermval(np.asarray(z, dtype=float), self.mean_coefficients())
 
     def synthesize(self, y, z: float, out=None) -> np.ndarray:
         """Evaluate sum_n a_n(y) H_n(z) (+shift) at positions y and one z: one
         ``hermval`` sums the modes on the grid and the sum is looked up once,
         into ``out`` as in ``GridFunction.__call__``."""
-        grid = hermval(float(z), np.array([c.values for c in self.coeffs])) + self.shift
+        coeffs = np.array([c.values for c in self.coeffs])
+        grid = np.polynomial.hermite.hermval(float(z), coeffs) + self.shift
         return self.coeffs[0].with_values(grid)(y, out=out)
 
 
@@ -320,13 +322,13 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSerie
     """
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    z_nodes, w = hermgauss(2 * n_h + 16)
+    z_nodes, w = np.polynomial.hermite.hermgauss(2 * n_h + 16)
     y = np.asarray(grid, dtype=float)
     # samples[i, j] = v(y_j, sqrt(gamma) z_i)
     samples = np.array([np.asarray(v(y, np.sqrt(gamma) * z)) * np.ones_like(y)
                         for z in z_nodes])
     norms = np.sqrt(np.pi) * np.array([hermite_norm(n) for n in range(n_h + 1)])
-    a = (hermvander(z_nodes, n_h) * w[:, None]).T @ samples / norms[:, None]
+    a = (np.polynomial.hermite.hermvander(z_nodes, n_h) * w[:, None]).T @ samples / norms[:, None]
     coeffs = [GridFunction(y, an) for an in a]
     shift = coeffs[0].mean()
     coeffs[0] = coeffs[0].centered()
@@ -340,6 +342,8 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSerie
 def cosine_project(u: GridFunction, n_max: int) -> np.ndarray:
     """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y),
     by the GridFunction quadrature row by row, so c_0 is u.mean() bit for bit."""
+    if not n_max >= 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
     y = u.nodes
     modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(np.arange(n_max + 1), y))
     modes[0] = 1.0

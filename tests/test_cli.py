@@ -1,9 +1,13 @@
 import argparse
+import ast
+import functools
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +31,30 @@ _HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.special
                 "scipy.optimize")
 
 
-def _heavy_scipy_loaded(code: str) -> str:
-    """Run code in a fresh interpreter and return which of _HEAVY_SCIPY it loaded."""
+@functools.lru_cache(maxsize=None)
+def _modules_loaded(code: str) -> frozenset:
+    """Run code in a fresh interpreter, in a scratch working directory, and
+    return the sheardisp.* modules, _HEAVY_SCIPY modules and numpy.polynomial
+    it loaded.  Cached by code, so the start-up tests below share one run."""
     src = str(Path(sheardisp.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = f"{code}; import sys; print(sorted(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip().splitlines()[-1]
+    watched = _HEAVY_SCIPY + ("numpy.polynomial",)
+    probe = (f"{code}; import sys; print(sorted(m for m in sys.modules "
+             f"if m in {watched!r} or m.startswith('sheardisp.')))")
+    with tempfile.TemporaryDirectory() as cwd:
+        out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, check=True,
+                             capture_output=True, text=True).stdout
+    return frozenset(ast.literal_eval(out.strip().splitlines()[-1]))
+
+
+def _heavy_scipy_loaded(code: str) -> str:
+    """Which of _HEAVY_SCIPY a fresh interpreter running code loaded."""
+    return str(sorted(_modules_loaded(code) & set(_HEAVY_SCIPY)))
+
+
+def _recipe(*argv: str) -> str:
+    return f"from sheardisp.cli import main; main({list(argv)!r})"
 
 
 def test_import_leaves_out_scipy_submodules():
@@ -46,21 +65,93 @@ def test_import_leaves_out_scipy_submodules():
 
 def test_kappa_eff_run_leaves_out_scipy_submodules():
     # the closed forms need numpy only, so the whole subcommand loads none either
-    code = ("from sheardisp.cli import main; "
-            "main(['kappa-eff', '--flow', 'cosine', '--gamma', '2', '--pe', '3'])")
-    assert _heavy_scipy_loaded(code) == "[]"
+    assert _heavy_scipy_loaded(_recipe("kappa-eff", "--flow", "cosine", "--gamma", "2",
+                                       "--pe", "3")) == "[]"
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["pdf", "--mode", "deterministic", "--outdir", "{out}"], "[]"),
-    (["validate", "--only", "1,2,8,10"], "[]"),
-    (["estimate-gamma", "--paths", "2", "--t-end", "50"], "[]"),
+_RECIPES = {
+    "pdf_deterministic": _recipe("pdf", "--mode", "deterministic", "--outdir", "out"),
+    "validate_quick": _recipe("validate", "--only", "1,2,8,10"),
+    "estimate_gamma": _recipe("estimate-gamma", "--paths", "2", "--t-end", "50"),
+    "pdf_random_wave": _recipe("pdf", "--mode", "random-wave", "--outdir", "out"),
+}
+
+
+@pytest.mark.parametrize("recipe, loaded", [
+    ("pdf_deterministic", "[]"),
+    ("validate_quick", "[]"),
+    ("estimate_gamma", "[]"),
     # k0e for the density and erfc for the CDF table; the table's rule is numpy
-    (["pdf", "--mode", "random-wave", "--outdir", "{out}"], "['scipy.special']"),
+    ("pdf_random_wave", "['scipy.special']"),
 ], ids=["pdf_deterministic", "validate_quick", "estimate_gamma", "pdf_random_wave"])
-def test_recipe_loads_only_the_scipy_it_uses(argv, loaded, tmp_path):
-    argv = [a.format(out=tmp_path) for a in argv]
-    assert _heavy_scipy_loaded(f"from sheardisp.cli import main; main({argv!r})") == loaded
+def test_recipe_loads_only_the_scipy_it_uses(recipe, loaded):
+    assert _heavy_scipy_loaded(_RECIPES[recipe]) == loaded
+
+
+_ARIS_LAYERS = "ou_process spectral_core eff_diffusivity invariant_measure aris_solver"
+
+
+@pytest.mark.parametrize("code, layers, polynomial", [
+    ("import sheardisp", "", False),
+    ("import sheardisp.cli", "cli ou_process", False),
+    (_recipe("kappa-eff", "--flow", "cosine", "--gamma", "2", "--pe", "3"),
+     "cli ou_process spectral_core eff_diffusivity", False),
+    (_RECIPES["pdf_deterministic"], "cli ou_process invariant_measure", False),
+    # the CDF table builds its Gauss-Legendre rule
+    (_RECIPES["pdf_random_wave"], "cli ou_process invariant_measure", True),
+    (_recipe("aris", "--t-end", "20", "--dt", "0.01", "--outdir", "out"),
+     "cli " + _ARIS_LAYERS, False),
+    (_RECIPES["estimate_gamma"], "cli " + _ARIS_LAYERS, False),
+    (_recipe("simulate", "--particles", "200", "--t-end", "1", "--outdir", "out"),
+     "cli monte_carlo " + _ARIS_LAYERS, False),
+    (_RECIPES["validate_quick"], "cli acceptance monte_carlo " + _ARIS_LAYERS, True),
+], ids=["import", "import_cli", "kappa_eff", "pdf_deterministic", "pdf_random_wave", "aris",
+        "estimate_gamma", "simulate", "validate_quick"])
+def test_start_up_loads_only_the_layers_it_runs(code, layers, polynomial):
+    loaded = _modules_loaded(code)
+    assert {m for m in loaded if m.startswith("sheardisp.")} == {
+        f"sheardisp.{m}" for m in layers.split()}
+    assert ("numpy.polynomial" in loaded) == polynomial
+
+
+# the names the package exported when it imported every layer eagerly
+_PUBLIC_NAMES = """
+    time_grid OUParams OUPath sample_ou sample_brownian_scaled integral_variance
+    realization_seed GridFunction HermiteSeries SolvabilityError helmholtz_inverse
+    hermite_norm hermite_project cosine_project FlowSpec EigenData
+    RepresentationMismatchError TruncationError lambda2_general lambda11_general
+    kappa_eff_general lambda_multiplicative lambda_white taylor_steady small_gamma_asymptotic
+    kappa_eff_dimensional_linear linear_profile cosine_profile ArisRecord
+    EstimatorDomainError solve_aris kappa_from_realization ou_integral_identity
+    estimate_gamma nth_moment_prediction npoint_correlator lambda_from_moments SimConfig
+    InitialData ForwardResult PDFEstimate simulate_forward evaluate_point_backward
+    wind_model_solution simulate_random_wave ensemble_pdf BetaSpec pdf_deterministic
+    cdf_deterministic beta_finite_time moment_function reconstruct_pdf_from_moments
+    talbot_inverse pdf_random_wave pdf_random_wave_tail cdf_random_wave
+    gaussian_variance_spectral
+""".split()
+
+
+class TestLazyExports:
+    def test_all_is_the_public_surface(self):
+        assert sorted(sheardisp.__all__) == sorted(_PUBLIC_NAMES)
+        assert set(sheardisp.__all__) <= set(dir(sheardisp))
+
+    def test_each_name_is_its_module_object(self):
+        modules = {n: importlib.import_module(f"sheardisp.{sheardisp._EXPORTS[n]}")
+                   for n in _PUBLIC_NAMES}
+        assert [n for n in _PUBLIC_NAMES
+                if getattr(sheardisp, n) is not getattr(modules[n], n)] == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nosuch"):
+            sheardisp.nosuch
+
+    def test_star_import_and_submodule_import(self):
+        namespace = {}
+        exec("from sheardisp import *; from sheardisp import aris_solver", namespace)
+        assert set(_PUBLIC_NAMES) <= set(namespace)
+        assert namespace["aris_solver"] is importlib.import_module("sheardisp.aris_solver")
 
 
 class TestKappaEff:

@@ -9,11 +9,11 @@ from sheardisp.ou_process import (
     OUParams, OUPath, integral_variance, realization_seed, sample_brownian_scaled, sample_ou,
     time_grid,
 )
-from sheardisp.spectral_core import GridFunction
+from sheardisp.spectral_core import GridFunction, cosine_project
 from sheardisp.eff_diffusivity import (
     FlowSpec, lambda_multiplicative, lambda_white, linear_profile, taylor_steady,
 )
-from sheardisp.aris_solver import ArisRecord, kappa_from_realization
+from sheardisp.aris_solver import ArisRecord, kappa_from_realization, solve_aris
 from sheardisp.monte_carlo import (
     InitialData,
     SimConfig,
@@ -28,6 +28,30 @@ from sheardisp.monte_carlo import (
 )
 from sheardisp import monte_carlo
 from sheardisp.invariant_measure import cdf_random_wave
+
+
+
+_GRID = time_grid(1.0, 0.1)
+
+# entry point, bad argument -> the name its ValueError must carry
+BAD_INPUTS = {
+    "solve_aris_pe_nan": (lambda: solve_aris(linear_profile(), math.nan,
+                                             sample_ou(OUParams(1.0), _GRID, seed=0)), "pe"),
+    "integral_variance_gamma_zero": (lambda: integral_variance(0.0, 1.0), "gamma"),
+    "integral_variance_gamma_nan": (lambda: integral_variance(math.nan, 1.0), "gamma"),
+    "brownian_scale_nan": (lambda: sample_brownian_scaled(_GRID, math.nan, 0), "scale"),
+    "cosine_project_negative": (lambda: cosine_project(linear_profile(), -1), "n_max"),
+    "random_wave_a_nan": (lambda: simulate_random_wave(math.nan, 1.0, 0.5, n=10), "a"),
+    "random_wave_n_zero": (lambda: simulate_random_wave(0.5, 1.0, 0.5, n=0), "n"),
+    "sim_config_dt_inf": (lambda: SimConfig(dt=math.inf), "dt"),
+    "sim_config_fractional_particles": (lambda: SimConfig(n_particles=2.5), "n_particles"),
+}
+
+
+@pytest.mark.parametrize("call, name", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_entry_point_rejects_bad_input(call, name):
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        call()
 
 
 def _bc(y, bc):
