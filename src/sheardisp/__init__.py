@@ -24,12 +24,12 @@ _EXPORTS = {name: module for module, names in {
                        "small_gamma_asymptotic kappa_eff_dimensional_linear "
                        "linear_profile cosine_profile",
     "aris_solver": "ArisRecord EstimatorDomainError solve_aris kappa_from_realization "
-                   "ou_integral_identity estimate_gamma nth_moment_prediction "
-                   "npoint_correlator lambda_from_moments",
+                   "ou_integral_identity estimate_gamma",
     "monte_carlo": "SimConfig InitialData ForwardResult PDFEstimate simulate_forward "
                    "evaluate_point_backward wind_model_solution simulate_random_wave "
                    "ensemble_pdf",
-    "invariant_measure": "BetaSpec pdf_deterministic cdf_deterministic beta_finite_time "
+    "invariant_measure": "nth_moment_prediction npoint_correlator lambda_from_moments "
+                         "BetaSpec pdf_deterministic cdf_deterministic beta_finite_time "
                          "moment_function reconstruct_pdf_from_moments talbot_inverse "
                          "pdf_random_wave pdf_random_wave_tail cdf_random_wave "
                          "gaussian_variance_spectral",

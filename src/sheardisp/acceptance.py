@@ -22,23 +22,20 @@ import numpy as np
 from .ou_process import OUParams, OUPath, sample_ou, time_grid, integral_variance
 from .spectral_core import (
     GridFunction, HermiteSeries, hermite_norm,
-    helmholtz_inverse, hermite_project,
+    helmholtz_inverse, hermite_project, cosine_eigenvalue,
 )
 from .eff_diffusivity import (
     FlowSpec, EigenData, lambda_multiplicative, lambda_white, taylor_steady,
     small_gamma_asymptotic, kappa_eff_dimensional_linear, lambda11_general,
     linear_profile,
 )
-from .aris_solver import (
-    solve_aris, estimate_gamma, nth_moment_prediction,
-    npoint_correlator, lambda_from_moments,
-    ou_integral_identity, cosine_eigenvalue,
-)
+from .aris_solver import solve_aris, estimate_gamma, ou_integral_identity
 from .monte_carlo import (
     SimConfig, InitialData, simulate_forward, evaluate_point_backward,
     wind_model_solution, simulate_random_wave, ensemble_pdf,
 )
 from .invariant_measure import (
+    nth_moment_prediction, npoint_correlator, lambda_from_moments,
     BetaSpec, beta_finite_time, pdf_deterministic, cdf_deterministic,
     moment_function, pdf_moment_quadrature, reconstruct_pdf_from_moments,
     pdf_random_wave, cdf_random_wave,

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .ou_process import OUPath, _cumtrapz, _decay_scan, _write_csv
+from .ou_process import (
+    OUPath, _cumtrapz, _decay_scan, _require_finite, _require_positive, _write_csv,
+)
 from .spectral_core import GridFunction, _exp_moments, cosine_project, cosine_eigenvalue
-from .eff_diffusivity import EigenData, _require_finite
-from .invariant_measure import moment_function
 
 
 MIN_WINDOW = 10.0   # diffusive times: the shortest window kappa_from_realization fits
@@ -154,6 +153,7 @@ def ou_integral_identity(n: int, gamma: float, path: OUPath) -> tuple[float, flo
     rhs = 1/2 - pi^2 n^2 / (2 (gamma + pi^2 n^2)),
     equal up to O(1/t).
     """
+    _require_positive(gamma=gamma)
     lam, lhs = _identity_statistic(path, n)
     if path.t_end < 50.0 / gamma or path.t_end < 50.0 / lam:
         raise ValueError(f"path too short: need t >= {max(50.0 / gamma, 50.0 / lam):.3g}")
@@ -170,82 +170,3 @@ def estimate_gamma(path: OUPath, n: int = 1) -> float:
             f"integral statistic {stat:.6g} outside (0, 1/2); "
             "estimator undefined at this sample")
     return 2.0 * lam * stat / (1.0 - 2.0 * stat)
-
-
-# ---------------------------------------------------------------------------
-# N-point correlator predictions
-# ---------------------------------------------------------------------------
-
-def nth_moment_prediction(n: int, mass: float, eig: EigenData, t: float) -> float:
-    """Long-time N-th one-point moment at x = 0, for N = n:
-
-    <T^N> = mass^N (4 pi t kappa_eff)^{-N/2} (1 + N beta)^{-1/2},
-    beta = lambda11 / (lambda2 - lambda11).  Non-finite input raises ``ValueError``.
-    """
-    _require_finite(mass=mass, t=t)
-    if n < 1 or not t > 0:
-        raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
-    if eig.lambda2 - eig.lambda11 <= 0:
-        raise ValueError("degenerate eigenvalue gap: lambda2 must exceed lambda11")
-    prefactor = (4.0 * math.pi * t * eig.kappa_eff) ** (-0.5 * n)
-    return mass**n * prefactor * moment_function(n, eig.beta)
-
-
-def npoint_correlator(x, mass: float, eig: EigenData, t: float) -> float:
-    """Gaussian N-point correlator at the N = len(x) points x,
-
-        mass^N exp(-x Lam1^{-1} x^T / (2t)) / ((2 pi t)^{N/2} sqrt(det Lam1))
-
-    with Lam1 = (lambda2 - lambda11) I + lambda11 e^T e.  The inverse
-    quadratic form and determinant use Sherman-Morrison and the matrix
-    determinant lemma, O(N) instead of a dense solve.  Non-finite input
-    raises ``ValueError``.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _require_finite(mass=mass, t=t, **{f"x[{i}]": v for i, v in enumerate(x.tolist())})
-    n = x.size
-    if n < 1 or not t > 0:
-        raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
-    d = eig.lambda2 - eig.lambda11
-    c = eig.lambda11
-    denom_sm = eig.lambda2 + (n - 1) * c
-    if d <= 0 or denom_sm <= 0:
-        raise ValueError("Lambda1 is singular or indefinite")
-    sx = float(np.sum(x))
-    quad = (float(np.dot(x, x)) - c * sx * sx / denom_sm) / d
-    det = d ** (n - 1) * denom_sm
-    return mass**n * math.exp(-quad / (2.0 * t)) / (
-        (2.0 * math.pi * t) ** (0.5 * n) * math.sqrt(det))
-
-
-class MomentInversion(NamedTuple):
-    lambda2: float
-    lambda11: float
-
-
-def lambda_from_moments(m1: float, m2: float, mass: float, t: float) -> MomentInversion:
-    """Recover (lambda2, lambda11) from the first two one-point moments.
-
-    Inverts the N = 1, 2 cases of the moment prediction:
-    lambda2 = mass^2 / (2 pi t m1^2) and, with q = mass^2 / (2 pi t m2)
-    equal to sqrt(lambda2^2 - lambda11^2),
-    lambda11 = sqrt(lambda2^2 - q^2).  Non-finite input raises ``ValueError``.
-    """
-    _require_finite(m1=m1, m2=m2, mass=mass, t=t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if m1 <= 0 or m2 <= 0 or mass <= 0:
-        raise ValueError("moments and mass must be positive")
-    lambda2 = mass**2 / (2.0 * math.pi * t * m1**2)
-    q = mass**2 / (2.0 * math.pi * t * m2)
-    rad = lambda2**2 - q**2
-    if rad < -1e-9 * lambda2**2:
-        raise ValueError("inconsistent moments: implied lambda11^2 is negative")
-    # the inversion is square-root degenerate at lambda11 = 0: radicands at
-    # roundoff scale would otherwise surface as sqrt(eps)-sized artifacts
-    if rad < 1e-12 * lambda2**2:
-        rad = 0.0
-    lambda11 = math.sqrt(max(rad, 0.0))
-    if lambda11 > lambda2 * (1.0 + 1e-12):
-        raise ValueError("inconsistent moments: implied lambda11 exceeds lambda2")
-    return MomentInversion(lambda2, lambda11)

@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .ou_process import _require_finite, _require_positive
 from .spectral_core import (
     GridFunction,
     HermiteSeries,
@@ -176,7 +177,8 @@ def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
     significant, TruncationError is raised -- for exactly terminating
     hand-built series, append a zero coefficient to mark the end.
     """
-    _check_gamma_pe(gamma, pe)
+    _require_positive(gamma=gamma)
+    _require_finite(pe=pe)
     series = _require_general(flow)
     terms = _lambda2_terms(series.coeffs, gamma, pe, flow.bc)
     total = sum(terms)
@@ -211,7 +213,8 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     Returns the series value; a relative disagreement beyond 1e-6 raises
     RepresentationMismatchError (truncation or quadrature failure).
     """
-    _check_gamma_pe(gamma, pe)
+    _require_positive(gamma=gamma)
+    _require_finite(pe=pe)
     series = _require_general(flow)
     abar = series.mean_coefficients()
 
@@ -248,18 +251,6 @@ def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float) -> EigenData:
     return EigenData(l2.value, l11.value, pe)
 
 
-def _check_gamma_pe(gamma: float, pe: float) -> None:
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    _require_finite(pe=pe)
-
-
-def _require_finite(**args: float) -> None:
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _require_general(flow: FlowSpec) -> HermiteSeries:
     if flow.kind != "general":
         raise TypeError("this operation expects a general Hermite-series flow")
@@ -275,7 +266,8 @@ def lambda_multiplicative(u: GridFunction, gamma: float, pe: float,
     """Closed form for v = u(y) xi(t), the n = 1 term of a_1 = u sqrt(gamma)/2:
     lambda2 = 2 + Pe^2 gamma <u, (gamma - Lap)^{-1} u>,
     lambda11 = Pe^2 (int u)^2."""
-    _check_gamma_pe(gamma, pe)
+    _require_positive(gamma=gamma)
+    _require_finite(pe=pe)
     a_1 = u.with_values(0.5 * math.sqrt(gamma) * u.values)
     lambda2 = 2.0 + _lambda2_terms([a_1], gamma, pe, bc, first=1)[0]
     lambda11 = pe**2 * u.mean() ** 2
@@ -305,8 +297,12 @@ def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:
 
 def small_gamma_asymptotic(kappa: float, g: float, gamma: float, L: float) -> float:
     """Leading small-damping behavior of the dimensional linear-shear
-    effective diffusivity: kappa + gamma g^2 L^4 / (240 kappa)."""
-    _require_finite(kappa=kappa, g=g, gamma=gamma, L=L)
+    effective diffusivity: kappa + gamma g^2 L^4 / (240 kappa), exact at
+    the limit gamma = 0."""
+    _require_finite(g=g, gamma=gamma)
+    _require_positive(kappa=kappa, L=L)
+    if gamma < 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
     return kappa + gamma * g**2 * L**4 / (240.0 * kappa)
 
 
@@ -317,11 +313,8 @@ def kappa_eff_dimensional_linear(kappa: float, g: float, gamma: float, L: float)
                  + kappa^{3/2} tanh(sqrt(gamma) L / (2 sqrt(kappa)))
                    / (gamma^{3/2} L)).
     """
-    _require_finite(kappa=kappa, g=g, gamma=gamma, L=L)
-    if kappa <= 0 or L <= 0:
-        raise ValueError("kappa and L must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _require_finite(g=g)
+    _require_positive(kappa=kappa, gamma=gamma, L=L)
     return kappa + g**2 * (
         L**2 / 24.0
         - kappa / (2.0 * gamma)

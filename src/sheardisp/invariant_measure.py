@@ -1,4 +1,5 @@
-"""Closed-form long-time PDFs of the rescaled scalar.
+"""The long-time law of the scalar: the Gaussian N-point correlator, whose
+coincident-point moments (1 + N beta)^{-1/2} fix the PDFs below.
 
 Deterministic integrable initial data leads, after rescaling by the
 Gaussian peak factor, to values Ttilde = exp(-beta Z^2 / 2) with Z
@@ -15,10 +16,10 @@ reconstruction, the random-wave family against quadrature moments.
 The moment quadrature integrates the density itself under z = exp(-v^2),
 which removes both endpoint singularities (the integrand is Gaussian in v).
 
-The deterministic family needs numpy and the stdlib erfc only; the
-random-wave functions import scipy.special where they call it, and both
-Gauss-Legendre rules are built on first use, so importing this module
-loads neither a scipy submodule nor ``numpy.polynomial``.
+The correlator and the deterministic family need numpy and the stdlib
+only; the random-wave functions import scipy.special where they call it,
+and both Gauss-Legendre rules are built on first use, so importing this
+module loads neither a scipy submodule nor ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+from .ou_process import _require_finite, _require_positive
+
+if TYPE_CHECKING:
+    from .eff_diffusivity import EigenData
 
 _TALBOT_NODES = 32       # fixed-Talbot contour points
 
@@ -37,7 +44,8 @@ class BetaSpec:
     """Parameters of the finite-time shape parameter beta for an initial
     Gaussian of variance s at time t, with v_t the exact variance of the OU
     time integral.  The leading-order beta = Pe^2 ubar^2 / (2 kappa_eff),
-    its t -> inf limit, is ``EigenData.beta``."""
+    its t -> inf limit, is ``EigenData.beta``.  A non-finite field, a
+    kappa_eff <= 0, a negative t, s or v_t, or t = s = 0 raises ``ValueError``."""
 
     pe: float
     ubar: float
@@ -47,8 +55,13 @@ class BetaSpec:
     v_t: float
 
     def __post_init__(self):
-        if self.kappa_eff <= 0:
-            raise ValueError("kappa_eff must be positive")
+        _require_finite(pe=self.pe, ubar=self.ubar)
+        _require_positive(kappa_eff=self.kappa_eff)
+        for name, value in (("t", self.t), ("s", self.s), ("v_t", self.v_t)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.t == self.s == 0.0:
+            raise ValueError("t and s must not both be 0: the spread 4 t kappa_eff + 2 s vanishes")
 
 
 def beta_finite_time(spec: BetaSpec) -> float:
@@ -56,6 +69,80 @@ def beta_finite_time(spec: BetaSpec) -> float:
 
     Reduces to the leading-order value as t -> inf with v(t)/t -> 1."""
     return 2.0 * spec.pe**2 * spec.ubar**2 * spec.v_t / (4.0 * spec.t * spec.kappa_eff + 2.0 * spec.s)
+
+
+# ---------------------------------------------------------------------------
+# N-point correlator and its coincident-point moments
+# ---------------------------------------------------------------------------
+
+def npoint_correlator(x, mass: float, eig: EigenData, t: float) -> float:
+    """Gaussian N-point correlator at the N = len(x) points x,
+
+        mass^N exp(-x Lam1^{-1} x^T / (2t)) / ((2 pi t)^{N/2} sqrt(det Lam1))
+
+    with Lam1 = (lambda2 - lambda11) I + lambda11 e^T e.  The inverse
+    quadratic form and determinant use Sherman-Morrison and the matrix
+    determinant lemma, O(N) instead of a dense solve.  Non-finite input
+    raises ``ValueError``.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _require_finite(mass=mass, t=t, **{f"x[{i}]": v for i, v in enumerate(x.tolist())})
+    n = x.size
+    if n < 1 or not t > 0:
+        raise ValueError(f"need correlator order N >= 1 and t > 0, got N={n}, t={t!r}")
+    d = eig.lambda2 - eig.lambda11
+    c = eig.lambda11
+    denom_sm = eig.lambda2 + (n - 1) * c
+    if d <= 0 or denom_sm <= 0:
+        raise ValueError("Lambda1 is singular or indefinite")
+    sx = float(np.sum(x))
+    quad = (float(np.dot(x, x)) - c * sx * sx / denom_sm) / d
+    det = d ** (n - 1) * denom_sm
+    return mass**n * math.exp(-quad / (2.0 * t)) / (
+        (2.0 * math.pi * t) ** (0.5 * n) * math.sqrt(det))
+
+
+def nth_moment_prediction(n: int, mass: float, eig: EigenData, t: float) -> float:
+    """Long-time N-th one-point moment at x = 0, the correlator at N = n
+    coincident points: <T^N> = mass^N (4 pi t kappa_eff)^{-N/2} (1 + N beta)^{-1/2},
+    the last factor ``moment_function(N, EigenData.beta)``.  A non-integer
+    n, or n < 1, raises ``ValueError``."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"correlator order n must be an integer >= 1, got n={n!r}")
+    return npoint_correlator(np.zeros(n), mass, eig, t)
+
+
+class MomentInversion(NamedTuple):
+    lambda2: float
+    lambda11: float
+
+
+def lambda_from_moments(m1: float, m2: float, mass: float, t: float) -> MomentInversion:
+    """Recover (lambda2, lambda11) from the first two one-point moments.
+
+    Inverts the N = 1, 2 cases of the moment prediction:
+    lambda2 = mass^2 / (2 pi t m1^2) and, with q = mass^2 / (2 pi t m2)
+    equal to sqrt(lambda2^2 - lambda11^2),
+    lambda11 = sqrt(lambda2^2 - q^2).  Non-finite input raises ``ValueError``.
+    """
+    _require_finite(m1=m1, m2=m2, mass=mass, t=t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if m1 <= 0 or m2 <= 0 or mass <= 0:
+        raise ValueError("moments and mass must be positive")
+    lambda2 = mass**2 / (2.0 * math.pi * t * m1**2)
+    q = mass**2 / (2.0 * math.pi * t * m2)
+    rad = lambda2**2 - q**2
+    if rad < -1e-9 * lambda2**2:
+        raise ValueError("inconsistent moments: implied lambda11^2 is negative")
+    # the inversion is square-root degenerate at lambda11 = 0: radicands at
+    # roundoff scale would otherwise surface as sqrt(eps)-sized artifacts
+    if rad < 1e-12 * lambda2**2:
+        rad = 0.0
+    lambda11 = math.sqrt(max(rad, 0.0))
+    if lambda11 > lambda2 * (1.0 + 1e-12):
+        raise ValueError("inconsistent moments: implied lambda11 exceeds lambda2")
+    return MomentInversion(lambda2, lambda11)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +155,7 @@ def pdf_deterministic(z, beta: float):
     Continuous at 0 for beta <= 1, divergent there for beta > 1 (a
     feature, not an error); always a logarithmic divergence at z = 1.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _require_positive(beta=beta)
     z_arr = np.asarray(z, dtype=float)
     if np.any((z_arr <= 0.0) | (z_arr >= 1.0)):
         raise ValueError("z must lie strictly inside (0, 1)")
@@ -78,8 +164,7 @@ def pdf_deterministic(z, beta: float):
 
 def cdf_deterministic(z, beta: float):
     """Closed-form CDF erfc(sqrt(-log(z)/beta)) of the rescaled scalar."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _require_positive(beta=beta)
     z_arr = np.clip(np.asarray(z, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore"):
         w = -np.log(z_arr)
@@ -97,8 +182,7 @@ def moment_function(s: float, beta: float) -> float:
 def pdf_moment_quadrature(n: float, beta: float) -> float:
     """Independent check of moment_function: int z^n f(z) dz of pdf_deterministic
     under z = exp(-v^2), 32 Gauss-Legendre nodes on v^2 <= 40/(n + 1/beta)."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _require_positive(beta=beta)
     rate = n + 1.0 / beta                   # > 0 exactly when n*beta + 1 > 0
     if not rate > 40.0 / 700.0:             # also rejects a NaN n; e^{-40/rate} must not underflow
         raise ValueError(f"moment quadrature needs n + 1/beta > 40/700, clear of the pole "
@@ -132,7 +216,7 @@ def talbot_inverse(transform, w):
     which holds for every transform used here.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
+    if not np.all(w > 0):                   # also rejects a NaN abscissa
         raise ValueError("inversion abscissa must be positive")
     m = _TALBOT_NODES
     r = 2.0 * m / 5.0
@@ -154,8 +238,7 @@ def reconstruct_pdf_from_moments(beta: float, z_grid):
     validated in the test suite on the analytic pair
     L^{-1}((s+1)^{-1/2})(w) = e^{-w}/sqrt(pi w).
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _require_positive(beta=beta)
     z = np.asarray(z_grid, dtype=float)
     if np.any((z <= 0.0) | (z >= 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
@@ -239,10 +322,11 @@ def gaussian_variance_spectral(alpha: float, cutoff, kappa_eff: float, t: float,
     """
     from scipy.integrate import quad
 
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1 for an integrable spectrum")
-    if kappa_eff < 0 or t < 0:
-        raise ValueError("kappa_eff and t must be nonnegative")
+    if not alpha > -1.0:                    # also rejects a NaN alpha
+        raise ValueError(f"alpha must exceed -1 for an integrable spectrum, got {alpha!r}")
+    if not (0.0 <= kappa_eff < math.inf and 0.0 <= t < math.inf):
+        raise ValueError(f"kappa_eff and t must be finite and nonnegative, "
+                         f"got {kappa_eff!r} and {t!r}")
 
     def integrand(h):
         return h**alpha * cutoff(h) ** 2 * math.exp(-kappa_eff * h * h * t)

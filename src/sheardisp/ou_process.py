@@ -34,8 +34,7 @@ class OUParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        _require_positive(gamma=self.gamma)
 
 
 @dataclass
@@ -109,6 +108,18 @@ def _write_csv(path, header: str, columns) -> None:
         for start in range(0, data.shape[0], _CSV_BLOCK):
             block = data[start:start + _CSV_BLOCK]
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _require_finite(**args: float) -> None:
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(**args: float) -> None:
+    for name, value in args.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:
@@ -245,8 +256,7 @@ def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
     The pointwise driving process has no finite-valued samples in this
     limit, so the path carries the integral and no values.
     """
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale!r}")
+    _require_finite(scale=scale)
     t = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(realization_seed(seed, realization))
     incs = math.sqrt(_grid_step(t)) * rng.standard_normal(t.size - 1)
@@ -256,8 +266,7 @@ def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
 def integral_variance(gamma: float, t) -> np.ndarray:
     """Var of int_0^t xi(s) ds for the stationary OU process:
     t + (exp(-gamma t) - 1)/gamma."""
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    _require_positive(gamma=gamma)
     t = np.asarray(t, dtype=float)
     return t + np.expm1(-gamma * t) / gamma
 

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ou_process import _decay_scan
+from .ou_process import _decay_scan, _require_positive
 
 
 class SolvabilityError(ValueError):
@@ -320,8 +320,7 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSerie
     ``v`` is called as v(y_array, xi_scalar) with xi the physical flow
     argument; the quadrature feeds it xi = sqrt(gamma) * z_node.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _require_positive(gamma=gamma)
     z_nodes, w = np.polynomial.hermite.hermgauss(2 * n_h + 16)
     y = np.asarray(grid, dtype=float)
     # samples[i, j] = v(y_j, sqrt(gamma) z_i)

@@ -15,11 +15,14 @@ from sheardisp.aris_solver import (
     estimate_gamma,
     exp_weighted_integral,
     kappa_from_realization,
-    lambda_from_moments,
-    nth_moment_prediction,
-    npoint_correlator,
     ou_integral_identity,
     solve_aris,
+)
+from sheardisp.invariant_measure import (
+    lambda_from_moments,
+    moment_function,
+    nth_moment_prediction,
+    npoint_correlator,
 )
 
 
@@ -167,6 +170,9 @@ class TestOUIntegralIdentity:
         path = sample_ou(OUParams(0.1), time_grid(10.0, 0.01), seed=0)
         with pytest.raises(ValueError):
             ou_integral_identity(1, 0.1, path)   # needs t >= 50/gamma = 500
+        for gamma in (0.0, math.nan, -5.0):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                ou_integral_identity(1, gamma, path)
 
 
 class TestGammaEstimator:
@@ -219,8 +225,11 @@ class TestMomentPredictions:
         assert npoint_correlator(x, 1.0, eig, 5.0) == pytest.approx(product, rel=1e-12)
 
     def test_equal_points_match_moment(self):
-        assert npoint_correlator(np.zeros(3), 1.2, EIG, 9.0) == pytest.approx(
-            nth_moment_prediction(3, 1.2, EIG, 9.0), rel=1e-12)
+        # N coincident points give mass^N (4 pi t kappa_eff)^{-N/2} mu(N)
+        for n in range(1, 7):
+            scale = (4 * math.pi * 9.0 * EIG.kappa_eff) ** (-n / 2)
+            moment = 1.2**n * scale * moment_function(n, EIG.beta)
+            assert nth_moment_prediction(n, 1.2, EIG, 9.0) == pytest.approx(moment, rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=40, deadline=None)
@@ -235,8 +244,9 @@ class TestMomentPredictions:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             npoint_correlator([], 1.0, EIG, 1.0)
-        with pytest.raises(ValueError):
-            nth_moment_prediction(0, 1.0, EIG, 1.0)
+        for n in (0, -1, 2.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=r"order n must be an integer >= 1"):
+                nth_moment_prediction(n, 1.0, EIG, 1.0)
         with pytest.raises(ValueError):
             npoint_correlator([0.0], 1.0, EIG, 0.0)     # t must be positive
         with pytest.raises(ValueError):

@@ -88,25 +88,29 @@ def test_recipe_loads_only_the_scipy_it_uses(recipe, loaded):
     assert _heavy_scipy_loaded(_RECIPES[recipe]) == loaded
 
 
-_ARIS_LAYERS = "ou_process spectral_core eff_diffusivity invariant_measure aris_solver"
+_ARIS_LAYERS = "ou_process spectral_core aris_solver"
 
 
 @pytest.mark.parametrize("code, layers, polynomial", [
     ("import sheardisp", "", False),
     ("import sheardisp.cli", "cli ou_process", False),
+    ("import sheardisp.aris_solver", _ARIS_LAYERS, False),
+    ("import sheardisp.invariant_measure", "invariant_measure ou_process", False),
     (_recipe("kappa-eff", "--flow", "cosine", "--gamma", "2", "--pe", "3"),
      "cli ou_process spectral_core eff_diffusivity", False),
     (_RECIPES["pdf_deterministic"], "cli ou_process invariant_measure", False),
     # the CDF table builds its Gauss-Legendre rule
     (_RECIPES["pdf_random_wave"], "cli ou_process invariant_measure", True),
     (_recipe("aris", "--t-end", "20", "--dt", "0.01", "--outdir", "out"),
-     "cli " + _ARIS_LAYERS, False),
+     "cli eff_diffusivity " + _ARIS_LAYERS, False),
     (_RECIPES["estimate_gamma"], "cli " + _ARIS_LAYERS, False),
     (_recipe("simulate", "--particles", "200", "--t-end", "1", "--outdir", "out"),
-     "cli monte_carlo " + _ARIS_LAYERS, False),
-    (_RECIPES["validate_quick"], "cli acceptance monte_carlo " + _ARIS_LAYERS, True),
-], ids=["import", "import_cli", "kappa_eff", "pdf_deterministic", "pdf_random_wave", "aris",
-        "estimate_gamma", "simulate", "validate_quick"])
+     "cli eff_diffusivity monte_carlo " + _ARIS_LAYERS, False),
+    (_RECIPES["validate_quick"],
+     "cli acceptance eff_diffusivity invariant_measure monte_carlo " + _ARIS_LAYERS, True),
+], ids=["import", "import_cli", "import_aris_solver", "import_invariant_measure", "kappa_eff",
+        "pdf_deterministic", "pdf_random_wave", "aris", "estimate_gamma", "simulate",
+        "validate_quick"])
 def test_start_up_loads_only_the_layers_it_runs(code, layers, polynomial):
     loaded = _modules_loaded(code)
     assert {m for m in loaded if m.startswith("sheardisp.")} == {

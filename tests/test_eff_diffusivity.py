@@ -64,13 +64,19 @@ def _general_flow():
     *[(lambda fn=fn, i=i, bad=bad: fn(*[bad if j == i else 1.0 for j in range(4)]), name)
       for fn in (kappa_eff_dimensional_linear, small_gamma_asymptotic)
       for i, name in enumerate(("kappa", "g", "gamma", "L")) for bad in (math.nan, math.inf)],
+    # kappa or L <= 0 and gamma < 0 fail the same way (gamma = 0 is the exact limit)
+    *[(lambda i=i, bad=bad: small_gamma_asymptotic(*[bad if j == i else 1.0 for j in range(4)]),
+       name) for i, name, bad in ((0, "kappa", 0.0), (0, "kappa", -1.0), (2, "gamma", -1.0),
+                                  (3, "L", 0.0), (3, "L", -1.0))],
 ], ids=["multiplicative-gamma-nan", "multiplicative-gamma-inf", "lambda2-gamma-nan",
         "lambda11-gamma-nan", "hermite_project-gamma-nan", "velocity-gamma-nan",
         "multiplicative-pe-nan", "white-pe-nan", "taylor-pe-nan", "eigendata-lambda2-inf",
         "helmholtz-lambda-nan",
         *[f"{fn}-pe-{pe}" for fn in ("lambda2", "lambda11") for pe in ("nan", "inf", "-inf")],
         *[f"{fn}-{name}-{bad}" for fn in ("dimensional", "small_gamma")
-          for name in ("kappa", "g", "gamma", "L") for bad in ("nan", "inf")]])
+          for name in ("kappa", "g", "gamma", "L") for bad in ("nan", "inf")],
+        "small_gamma-kappa-zero", "small_gamma-kappa-negative", "small_gamma-gamma-negative",
+        "small_gamma-L-zero", "small_gamma-L-negative"])
 def test_non_finite_input_names_the_parameter(call, name):
     # NaN fails every comparison, so a "gamma <= 0" test lets it through
     with pytest.raises(ValueError, match=rf"\b{name}\b"):

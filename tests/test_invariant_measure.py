@@ -46,6 +46,23 @@ class TestBetaSpec:
         with pytest.raises(TypeError):
             BetaSpec(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"pe": math.nan}, "pe must be finite"),
+        ({"ubar": math.inf}, "ubar must be finite"),
+        ({"kappa_eff": 0.0}, "kappa_eff must be positive"),
+        ({"kappa_eff": math.nan}, "kappa_eff must be positive"),
+        ({"t": -1.0}, "t must be finite and nonnegative"),
+        ({"t": math.nan}, "t must be finite and nonnegative"),
+        # s = -2 at t = kappa_eff = 1 zeroes the denominator 4 t kappa_eff + 2 s
+        ({"s": -2.0}, "s must be finite and nonnegative"),
+        ({"v_t": -0.5}, "v_t must be finite and nonnegative"),
+        ({"v_t": math.inf}, "v_t must be finite and nonnegative"),
+        ({"t": 0.0, "s": 0.0}, "t and s must not both be 0"),
+    ])
+    def test_rejects_bad_field(self, bad, match):
+        with pytest.raises(ValueError, match=rf"^{match}"):
+            BetaSpec(**{**dict(pe=1.0, ubar=0.5, kappa_eff=1.0, t=1.0, s=0.5, v_t=0.8), **bad})
+
 
 class TestDeterministicPdf:
     def test_normalization(self):
@@ -148,8 +165,9 @@ class TestTalbot:
         assert np.max(np.abs(rec - np.exp(-2 * ws))) < 1e-9
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            talbot_inverse(lambda p: 1 / p, 0.0)
+        for w in (0.0, math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="abscissa must be positive"):
+                talbot_inverse(lambda p: 1 / p, w)
 
 
 class TestReconstruction:
@@ -238,8 +256,10 @@ class TestSpectralVariance:
         assert vals[-1] < 2e-4
 
     def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            gaussian_variance_spectral(-1.5, lambda h: 1.0, 1.0, 1.0)
+        for alpha, kappa_eff, t in ((-1.5, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                                    (0.0, math.nan, 1.0), (0.0, 1.0, math.inf)):
+            with pytest.raises(ValueError):
+                gaussian_variance_spectral(alpha, lambda h: 1.0, kappa_eff, t)
 
     @staticmethod
     def _check_gaussian_cutoff(alpha):

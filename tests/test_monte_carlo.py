@@ -604,7 +604,7 @@ class TestRandomWave:
     def test_second_moment_prediction_at_fixed_time(self):
         # <T^2(0, t)> from wind-model fields on white-noise paths matches the
         # closed N = 2 moment prediction
-        from sheardisp.aris_solver import nth_moment_prediction
+        from sheardisp.invariant_measure import nth_moment_prediction
         u = GridFunction.from_callable(lambda y: y + 0.5, 512)
         eig = lambda_white(u, 1.0)
         grid = time_grid(1.0, 0.01)
