@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ou_process import OUPath, _step_count, realization_seed
+from .ou_process import OUPath, _require_positive, _step_count, realization_seed
 from .eff_diffusivity import EigenData, FlowSpec
 from .aris_solver import ArisRecord
 
@@ -54,8 +54,7 @@ class SimConfig:
     pe: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        _require_positive(dt=self.dt)
         if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
             raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
         if not (math.isfinite(self.pe) and self.pe >= 0):
@@ -295,8 +294,7 @@ def wind_model_solution(x, t: float, path: OUPath, eigen: EigenData, ubar: float
 
         T(x, t) = init.value(x - Pe ubar I(t), kappa_eff t).
     """
-    if eigen.kappa_eff <= 0:
-        raise ValueError("kappa_eff must be positive")
+    _require_positive(kappa_eff=eigen.kappa_eff)
     drift = eigen.pe * ubar * path.integral_at(t)
     x_rel = np.asarray(x, dtype=float) - drift
     return (init or InitialData.delta_line()).value(x_rel, eigen.kappa_eff * t)
