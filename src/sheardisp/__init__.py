@@ -31,8 +31,7 @@ _EXPORTS = {name: module for module, names in {
     "invariant_measure": "nth_moment_prediction npoint_correlator lambda_from_moments "
                          "BetaSpec pdf_deterministic cdf_deterministic beta_finite_time "
                          "moment_function reconstruct_pdf_from_moments talbot_inverse "
-                         "pdf_random_wave pdf_random_wave_tail cdf_random_wave "
-                         "gaussian_variance_spectral",
+                         "pdf_random_wave cdf_random_wave gaussian_variance_spectral",
 }.items() for name in names.split()}
 
 __all__ = list(_EXPORTS)

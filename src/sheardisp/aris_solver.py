@@ -99,14 +99,17 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
 
     Mass is conserved exactly (T0bar = 1 for the delta line source), so
     only T1bar and T2bar are tracked; T2bar sums 2 Pe^2 <u, phi_n>^2 J_n over
-    the modes n = 1..n_max with <u, phi_n> != 0, in one ``_mode_integrals`` call.
+    the modes n = 1..n_max above roundoff, in one ``_mode_integrals`` call.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _require_finite(pe=pe)
     coeffs = cosine_project(u, n_max)
     t1 = pe * coeffs[0] * path.integral
-    modes = [n for n in range(1, n_max + 1) if coeffs[n] != 0.0]
+    # skip |c_n| <= 1e-14 max|u|, >= 100x the projection's roundoff: such a mode
+    # adds <= Pe^2 1e-28 max|u|^2 t, under one ULP of T2bar >= 2t while Pe max|u| < 1e6
+    floor = 1e-14 * float(np.max(np.abs(u.values)))
+    modes = [n for n in range(1, n_max + 1) if abs(coeffs[n]) > floor]
     centered = 2.0 * path.times + _mode_integrals(
         path, [cosine_eigenvalue(n) for n in modes], [2.0 * pe**2 * coeffs[n] ** 2 for n in modes])
     return ArisRecord(path.times, t1, centered + t1**2)

@@ -16,10 +16,10 @@ reconstruction, the random-wave family against quadrature moments.
 The moment quadrature integrates the density itself under z = exp(-v^2),
 which removes both endpoint singularities (the integrand is Gaussian in v).
 
-The correlator and the deterministic family need numpy and the stdlib
-only; the random-wave functions import scipy.special where they call it,
-and both Gauss-Legendre rules are built on first use, so importing this
-module loads neither a scipy submodule nor ``numpy.polynomial``.
+Everything here but ``gaussian_variance_spectral`` (scipy.integrate) needs
+numpy and the stdlib only: the K0 density and the random-wave CDF table are
+trapezoid rules, and the moment quadrature builds its Gauss-Legendre rule on
+first use, so importing this module loads no scipy submodule or ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def reconstruct_pdf_from_moments(beta: float, z_grid):
     z = np.asarray(z_grid, dtype=float)
     if np.any((z <= 0.0) | (z >= 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
-    vals = talbot_inverse(lambda p: (beta * p + 1.0) ** -0.5, -np.log(z))
+    vals = talbot_inverse(lambda p: 1.0 / np.sqrt(beta * p + 1.0), -np.log(z))
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("Talbot contour evaluation failed (non-finite sum)")
     return (vals / z)[()]
@@ -259,43 +259,45 @@ def pdf_random_wave(z):
     """Density of Ttilde = N(0,1)*cos(U):  e^{-z^2/4} K0(z^2/4) / (sqrt(2) pi^{3/2}).
 
     Symmetric, unit mass, variance 1/2, fourth moment 9/8 (kurtosis 9/2);
-    logarithmically singular at z = 0, where +inf is returned.
+    logarithmically singular at z = 0, where +inf is returned; 0 at +-inf.
     """
-    from scipy.special import k0e
-
+    # e^{-q} K0(q) = e^{-2q} int_0^inf exp(-2 q sinh^2(t/2)) dt, q = z^2/4, by the trapezoid
+    # rule in tau = t sqrt(1 + q), O(1) wide at every q: one node set per 2048 points, step
+    # 0.3, out to 2 q sinh^2(t/2) > 40 at each; within 2e-15 of scipy's k0e over z in [1e-8, 37]
     q = np.asarray(z, dtype=float) ** 2 / 4.0
-    return (k0e(q) * np.exp(-2.0 * q) * _RW_NORM)[()]   # e^{-q} K0(q)
-
-
-def pdf_random_wave_tail(z):
-    """Large-|z| expansion e^{-z^2/2} (1/(pi z) - 1/(2 pi z^3))."""
-    z_arr = np.abs(np.asarray(z, dtype=float))
-    return np.exp(-z_arr**2 / 2.0) * (1.0 / (math.pi * z_arr) - 1.0 / (2.0 * math.pi * z_arr**3))
+    k = np.where(q == 0.0, np.inf, 1.0)     # times e^{-2q}: +inf at 0, 0 at inf, nan at nan
+    todo, h = np.flatnonzero((q > 0.0) & (q < np.inf)), 0.3
+    for part in np.split(todo, range(2048, todo.size, 2048)):   # bounds the temporaries
+        qk = q.flat[part]
+        r = np.sqrt(1.0 + qk)
+        tau = np.arange(h, np.max(np.arccosh(1.0 + 40.0 / qk) * r, initial=0.0) + h, h)
+        half_t = 0.5 * tau / r[:, None]
+        # the node tau = 0, where the integrand is 1, adds h/2
+        k.flat[part] = h * (np.exp(-2.0 * qk[:, None] * np.sinh(half_t) ** 2).sum(axis=1) + 0.5) / r
+    return (k * np.exp(-2.0 * q) * _RW_NORM)[()]
 
 
 @lru_cache(maxsize=1)
 def _random_wave_cdf_table() -> tuple[np.ndarray, np.ndarray]:
-    # log-spaced abscissae resolve the log-singular density at 0; beyond
-    # z = 9 the tail is below e^{-40} and the table clamps.  P(Ttilde > z)
-    # averages the tail of the conditional law N(0, cos^2 eta) over the
-    # uniform phase, (1/pi) int erfc(z / (sqrt(2) cos eta)) d eta over
-    # (0, pi/2).  Graded as eta = (pi/2)(1 - t^2) it is int_0^1 erfc(z /
-    # (sqrt(2) sin(pi t^2/2))) t dt, flat at t = 0, and 256 Gauss-Legendre
-    # nodes in t reach 1e-9 at every node (ungraded, 512 miss by 5e-7).
-    from scipy.special import erfc
-
+    # log-spaced abscissae resolve the log-singular density at 0; beyond z = 9
+    # the tail is below e^{-40} and the table clamps.  Given the amplitude
+    # x = |N(0,1)|, P(Ttilde > z) = (2/pi) int_z^inf phi(x) arccos(z/x) dx, which
+    # x = z cosh s turns into (2/pi) z int_0^inf phi(z cosh s) arctan(sinh s) sinh s ds:
+    # even, analytic and double-exponentially decaying in s, so the trapezoid rule at
+    # step 0.12 out to z cosh s = 9.5 converges geometrically; tail(0) = 1/2 exactly
     z = np.concatenate(([0.0], np.logspace(-6, np.log10(9.0), 1500)))
-    x, w = np.polynomial.legendre.leggauss(256)
-    t = 0.5 * (x + 1.0)
-    cos_eta = np.sin(0.5 * math.pi * t * t)
-    return z, erfc(z[:, None] / (math.sqrt(2.0) * cos_eta)) @ (0.5 * w * t)
+    h = 0.12
+    s = np.arange(0.0, math.acosh(9.5 / z[1]) + h, h)
+    x = z[1:, None] * np.cosh(s)
+    w = (h * math.sqrt(2.0) / math.pi**1.5) * np.arctan(np.sinh(s)) * np.sinh(s)
+    return z, np.concatenate(([0.5], z[1:] * (np.exp(-0.5 * x * x) @ w)))
 
 
 def cdf_random_wave(z):
     """CDF of the random-wave invariant measure.
 
-    Built from the phase-average representation (conditional law
-    N(0, cos^2 eta)), which deliberately does not reuse the K0 density,
+    Built from the amplitude-conditioned tail (the arccosine law of the
+    phase given |N(0,1)|), which deliberately does not reuse the K0 density,
     so it doubles as an independent representation in tests.  Evaluations
     interpolate a cached 1500-node tail table (absolute accuracy ~1e-5).
     """

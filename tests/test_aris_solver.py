@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheardisp import aris_solver
 from sheardisp.ou_process import OUParams, OUPath, sample_ou, time_grid
 from sheardisp.spectral_core import GridFunction, cosine_eigenvalue, cosine_project
 from sheardisp.eff_diffusivity import (
@@ -68,6 +69,27 @@ class TestSolveAris:
                     for n in range(1, 10))
         gap = rec.centered_second() - (2.0 * path.times + shear)
         assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(shear))
+
+    def test_constant_profile_has_no_shear_modes(self):
+        # every c_n, n >= 1, of a constant is projection roundoff (<= 5e-17)
+        u = GridFunction(linear_profile().nodes, np.full(513, 0.7))
+        path = sample_ou(OUParams(1.0), time_grid(5.0, 0.01), seed=2)
+        rec = solve_aris(u, 10.0, path, n_max=6)
+        assert np.array_equal(rec.t2bar, 2.0 * rec.times + rec.t1bar**2)
+
+    def test_roundoff_modes_skipped_and_small_genuine_mode_kept(self, monkeypatch):
+        # u = y has only odd modes (its even c_n are ~5e-17); adding
+        # 1e-10 cos(2 pi y) gives a genuine c_2 = 7e-11, which is kept
+        lams = []
+        real = aris_solver._mode_integrals
+        monkeypatch.setattr(aris_solver, "_mode_integrals",
+                            lambda path, lam, w: lams.append(list(lam)) or real(path, lam, w))
+        y = linear_profile().nodes
+        path = _zero_path(1.0)
+        solve_aris(linear_profile(), 1.0, path, n_max=4)
+        solve_aris(GridFunction(y, y + 1e-10 * np.cos(2.0 * np.pi * y)), 1.0, path, n_max=4)
+        assert lams == [[cosine_eigenvalue(1), cosine_eigenvalue(3)],
+                        [cosine_eigenvalue(n) for n in (1, 2, 3)]]
 
     def test_input_validation(self):
         path = _zero_path(1.0)

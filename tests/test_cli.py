@@ -81,8 +81,8 @@ _RECIPES = {
     ("pdf_deterministic", "[]"),
     ("validate_quick", "[]"),
     ("estimate_gamma", "[]"),
-    # k0e for the density and erfc for the CDF table; the table's rule is numpy
-    ("pdf_random_wave", "['scipy.special']"),
+    # the K0 density and the CDF table are numpy trapezoid rules
+    ("pdf_random_wave", "[]"),
 ], ids=["pdf_deterministic", "validate_quick", "estimate_gamma", "pdf_random_wave"])
 def test_recipe_loads_only_the_scipy_it_uses(recipe, loaded):
     assert _heavy_scipy_loaded(_RECIPES[recipe]) == loaded
@@ -99,8 +99,7 @@ _ARIS_LAYERS = "ou_process spectral_core aris_solver"
     (_recipe("kappa-eff", "--flow", "cosine", "--gamma", "2", "--pe", "3"),
      "cli ou_process spectral_core eff_diffusivity", False),
     (_RECIPES["pdf_deterministic"], "cli ou_process invariant_measure", False),
-    # the CDF table builds its Gauss-Legendre rule
-    (_RECIPES["pdf_random_wave"], "cli ou_process invariant_measure", True),
+    (_RECIPES["pdf_random_wave"], "cli ou_process invariant_measure", False),
     (_recipe("aris", "--t-end", "20", "--dt", "0.01", "--outdir", "out"),
      "cli eff_diffusivity " + _ARIS_LAYERS, False),
     (_RECIPES["estimate_gamma"], "cli " + _ARIS_LAYERS, False),
@@ -118,7 +117,8 @@ def test_start_up_loads_only_the_layers_it_runs(code, layers, polynomial):
     assert ("numpy.polynomial" in loaded) == polynomial
 
 
-# the names the package exported when it imported every layer eagerly
+# the names the package exported when it imported every layer eagerly, less
+# pdf_random_wave_tail, the expansion that the exact density made redundant
 _PUBLIC_NAMES = """
     time_grid OUParams OUPath sample_ou sample_brownian_scaled integral_variance
     realization_seed GridFunction HermiteSeries SolvabilityError helmholtz_inverse
@@ -131,8 +131,7 @@ _PUBLIC_NAMES = """
     InitialData ForwardResult PDFEstimate simulate_forward evaluate_point_backward
     wind_model_solution simulate_random_wave ensemble_pdf BetaSpec pdf_deterministic
     cdf_deterministic beta_finite_time moment_function reconstruct_pdf_from_moments
-    talbot_inverse pdf_random_wave pdf_random_wave_tail cdf_random_wave
-    gaussian_variance_spectral
+    talbot_inverse pdf_random_wave cdf_random_wave gaussian_variance_spectral
 """.split()
 
 

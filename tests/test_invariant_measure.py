@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, k0e
 
 from sheardisp.eff_diffusivity import lambda_multiplicative
 from sheardisp.spectral_core import GridFunction
@@ -19,7 +19,6 @@ from sheardisp.invariant_measure import (
     pdf_deterministic,
     pdf_moment_quadrature,
     pdf_random_wave,
-    pdf_random_wave_tail,
     reconstruct_pdf_from_moments,
     talbot_inverse,
 )
@@ -209,21 +208,49 @@ class TestRandomWavePdf:
         assert np.array_equal(pdf_random_wave(zs), pdf_random_wave(-zs))
         assert pdf_random_wave(0.0) == np.inf
 
-    def test_tail_expansion(self):
-        assert abs(pdf_random_wave(4.0) / pdf_random_wave_tail(4.0) - 1.0) < 0.01
+    def test_matches_scipy_k0e(self):
+        # e^{-q} K0(q) = k0e(q) e^{-2q}, q = z^2/4, from the log singularity
+        # at 0 to a density of 1e-196, over three blocks of the node set
+        z = np.geomspace(1e-8, 30.0, 5000)
+        q = z * z / 4.0
+        ref = k0e(q) * np.exp(-2.0 * q) / (math.sqrt(2.0) * math.pi**1.5)
+        assert np.max(np.abs(pdf_random_wave(z) / ref - 1.0)) < 1e-13
+
+    def test_non_finite_and_zero(self):
+        out = pdf_random_wave(np.array([0.0, math.nan, math.inf, -math.inf, 1.0, -0.0]))
+        assert out[0] == out[5] == np.inf
+        assert np.isnan(out[1])
+        assert out[2] == out[3] == 0.0
+        assert out[4] == pdf_random_wave(1.0)
+        for z, want in ((0.0, np.inf), (math.inf, 0.0)):
+            assert isinstance(pdf_random_wave(z), float) and pdf_random_wave(z) == want
+        assert math.isnan(pdf_random_wave(math.nan))
+        assert pdf_random_wave(np.empty(0)).shape == (0,)
 
     def test_cdf_table_matches_pointwise_quadrature(self):
         # reference: one quad per node of the phase average over eta
-        # P(Ttilde > z) = (1/pi) int_0^{pi/2} erfc(z / (sqrt(2) cos eta)) d eta
+        # P(Ttilde > z) = (1/pi) int_0^{pi/2} erfc(z / (sqrt(2) cos eta)) d eta,
+        # at tolerances tight enough that the table's own error shows (2.8e-16
+        # measured at every 7th node)
         nodes, tail = _random_wave_cdf_table()
-        assert tail[0] == pytest.approx(0.5, abs=1e-12)
         for z, table in zip(nodes[1::100], tail[1::100]):
             ref, _ = quad(lambda th: erfc(z / (math.sqrt(2.0) * math.cos(th))),
-                          0.0, math.pi / 2.0, limit=200)
-            assert abs(table - ref / math.pi) < 1e-7
+                          0.0, math.pi / 2.0, limit=200, epsabs=1e-14, epsrel=1e-13)
+            assert abs(table - ref / math.pi) < 1e-12
+
+    def test_cdf_table_against_the_phase_average_rule(self):
+        # an independent rule at every node: the phase average above, graded
+        # as eta = (pi/2)(1 - t^2), by 256 Gauss-Legendre nodes in t (1e-9)
+        nodes, tail = _random_wave_cdf_table()
+        x, w = np.polynomial.legendre.leggauss(256)
+        t = 0.5 * (x + 1.0)
+        ref = erfc(nodes[:, None] / (math.sqrt(2.0) * np.sin(0.5 * math.pi * t * t))) @ (0.5 * w * t)
+        assert tail[0] == 0.5
+        assert np.all(np.diff(tail) < 0.0)
+        assert np.max(np.abs(tail - ref)) < 1e-9
 
     def test_cdf_consistent_with_pdf(self):
-        # the phase-average CDF and the K0 density are independent
+        # the amplitude-conditioned CDF and the K0 density are independent
         # representations of the same law
         for z in (0.4, 1.2, 3.0):
             num, _ = quad(pdf_random_wave, -12, z, points=[0.0], limit=300)
