@@ -14,8 +14,8 @@ import importlib
 
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in {
-    "ou_process": "time_grid OUParams OUPath sample_ou sample_brownian_scaled "
-                  "integral_variance realization_seed",
+    "ou_process": "time_grid OUParams OUPath sample_ou integral_variance "
+                  "realization_seed",
     "spectral_core": "GridFunction HermiteSeries SolvabilityError helmholtz_inverse "
                      "hermite_norm hermite_project cosine_project",
     "eff_diffusivity": "FlowSpec EigenData RepresentationMismatchError TruncationError "

@@ -151,7 +151,7 @@ def criterion_4_ou_integral_identity() -> list[Check]:
         # the statistic is causal: each horizon reads the prefix of one path
         for t, k in zip(horizons, idx):
             lhs, rhs = ou_integral_identity(1, gamma, OUPath(path.times[:k + 1],
-                                                             path.xi[:k + 1]))
+                                                             path.values[:k + 1]))
             stats[t].append(lhs)
     means = {t: float(np.mean(v)) for t, v in stats.items()}
     ses = {t: float(np.std(v) / math.sqrt(len(v))) for t, v in stats.items()}

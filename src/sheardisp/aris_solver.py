@@ -79,7 +79,7 @@ def _mode_integrals(path: OUPath, lams, weights) -> np.ndarray:
     its decay scan.  With xi linear on each step, a step adds
     w dt (m_1 xi_k + (m_0 - m_1) xi_{k+1}) to w q, m_j = ``_exp_moments(lam dt)``,
     the package's one step-moment rule."""
-    xi, dt = path.xi, path.dt
+    xi, dt = path.values, path.dt
     inp, total = np.zeros(xi.size), np.zeros(xi.size)
     for lam, w, m in zip(lams, weights, _exp_moments(np.multiply(lams, dt))):
         np.multiply(xi[:-1], w * dt * m[1], out=inp[1:])

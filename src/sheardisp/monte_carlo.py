@@ -190,7 +190,7 @@ def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
 def _xi_midpoints(path: Optional[OUPath], n_steps: int) -> np.ndarray:
     if path is None:
         return np.zeros(n_steps)
-    xi = path.xi[:n_steps + 1]
+    xi = path.values[:n_steps + 1]
     return 0.5 * (xi[:-1] + xi[1:])
 
 
@@ -261,8 +261,7 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
 
     Returns (estimate, standard error), floats for scalar x and arrays of
     x's shape otherwise.  A start point off the channel (y outside [0, 1]),
-    a non-finite x or y, fewer than two particles, or a white-noise-limit
-    path (no pointwise xi) raises ``ValueError``.
+    a non-finite x or y, or fewer than two particles raises ``ValueError``.
     """
     xs = np.asarray(x, dtype=float)
     if not (np.all(np.isfinite(xs)) and math.isfinite(y) and 0.0 <= y <= 1.0):
@@ -310,8 +309,8 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
     density is the Bessel-K0 law with variance 1/2 and kurtosis 9/2.
     With ``paths`` the phase comes from each realization's OU integral
     (regime flag: the rescaling neglects O(a^2 t) decay curvature, so
-    a^2 t should stay small); without paths the phase is drawn uniform,
-    which is the long-time law.
+    a^2 t should stay small on the longest path); without paths the phase
+    is drawn uniform, which is the long-time law.
     """
     if not 0 < a < math.inf:
         raise ValueError(f"random-wave wavenumber a must be finite and positive, got {a!r}")
@@ -319,7 +318,7 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
     if paths is not None:
         if not paths:
             raise ValueError("paths must hold at least one OU path")
-        t_end = paths[0].t_end
+        t_end = max(p.t_end for p in paths)
         if a * a * t_end > 0.1:
             warnings.warn(f"a^2 t = {a * a * t_end:.3g} > 0.1: outside the "
                           "random-wave rescaling regime", RuntimeWarning)

@@ -11,10 +11,7 @@ which is bias-free for any step size, on a uniform grid.
 An ``OUPath`` carries its step ``dt`` and its running integral
 I(t) = int_0^t xi from construction: the constructor validates the grid
 once (uniform, starting at 0) and integrates the values by the
-trapezoidal rule.  The white-noise limit has its own sampler,
-``sample_brownian_scaled``, which draws the limit object directly (I(t) a
-scaled Brownian motion, passed as the integral; no pointwise values)
-instead of pushing gamma to infinity through the transition kernel.
+trapezoidal rule.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -40,45 +36,31 @@ class OUParams:
 @dataclass
 class OUPath:
     """One realization on a uniform grid: node times, xi values, the step
-    ``dt`` and the running integral I(t), all fixed at construction.
+    ``dt`` and the running integral I(t) (the trapezoidal integral of the
+    values), all fixed at construction.
 
-    Give ``values`` (I is then their trapezoidal integral) or, for
-    white-noise-limit paths where only the Brownian integral is defined,
-    ``integral``; giving both or neither raises ``ValueError``, as does a
-    grid that is not uniform from 0 with at least two nodes.
+    A grid that is not uniform from 0 with at least two nodes, or values
+    without one entry per node, raises ``ValueError``.
     """
 
     times: np.ndarray
-    values: Optional[np.ndarray] = None
-    integral: Optional[np.ndarray] = None
+    values: np.ndarray
     dt: float = field(init=False)
+    integral: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if (self.values is None) == (self.integral is None):
-            raise ValueError("give exactly one of values and integral")
         t = self.times = np.asarray(self.times, dtype=float)
         self.dt = dt = _grid_step(t)
         if not np.abs(t - _grid_ramp(dt, t.size)).max() <= 1e-9 * dt:
             raise ValueError("path grid must be uniform and start at 0")
-        given = self.integral if self.values is None else self.values
-        if np.shape(given) != t.shape:
-            raise ValueError("values or integral must have one entry per grid node")
-        if self.values is None:
-            self.integral = np.asarray(self.integral, dtype=float)
-        else:
-            self.values = np.asarray(self.values, dtype=float)
-            self.integral = _cumtrapz(self.values, dt)
+        if np.shape(self.values) != t.shape:
+            raise ValueError("values must have one entry per grid node")
+        self.values = np.asarray(self.values, dtype=float)
+        self.integral = _cumtrapz(self.values, dt)
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def xi(self) -> np.ndarray:
-        """Pointwise xi samples; unavailable in the white-noise limit."""
-        if self.values is None:
-            raise ValueError("pointwise xi values do not exist in white-noise-limit mode")
-        return self.values
 
     def integral_at(self, t: float) -> float:
         """Linear interpolation of I(t) between grid nodes; a t outside the
@@ -88,8 +70,7 @@ class OUPath:
         return float(np.interp(t, self.times, self.integral))
 
     def to_csv(self, path) -> None:
-        xi = self.values if self.values is not None else np.full_like(self.times, np.nan)
-        _write_csv(path, "t,xi,integral", [self.times, xi, self.integral])
+        _write_csv(path, "t,xi,integral", [self.times, self.values, self.integral])
 
 
 _CSV_BLOCK = 4096   # rows formatted per write
@@ -248,25 +229,13 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def sample_brownian_scaled(t_grid: np.ndarray, scale: float, seed: int,
-                           realization: int = 0) -> OUPath:
-    """White-noise-limit path on a uniform grid: I(t) is a Brownian motion
-    times ``scale``.
-
-    The pointwise driving process has no finite-valued samples in this
-    limit, so the path carries the integral and no values.
-    """
-    _require_finite(scale=scale)
-    t = np.asarray(t_grid, dtype=float)
-    rng = np.random.default_rng(realization_seed(seed, realization))
-    incs = math.sqrt(_grid_step(t)) * rng.standard_normal(t.size - 1)
-    return OUPath(times=t, integral=np.concatenate(([0.0], scale * np.cumsum(incs))))
-
-
 def integral_variance(gamma: float, t) -> np.ndarray:
     """Var of int_0^t xi(s) ds for the stationary OU process:
-    t + (exp(-gamma t) - 1)/gamma."""
+    t + (exp(-gamma t) - 1)/gamma.  A t that is not finite and >= 0 raises
+    ``ValueError``."""
     _require_positive(gamma=gamma)
     t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     return t + np.expm1(-gamma * t) / gamma
 

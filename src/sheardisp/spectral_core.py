@@ -246,8 +246,8 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
     """
     if bc not in ("no-flux", "periodic"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     if lam == 0.0:
         if not a.is_zero_mean():
             raise SolvabilityError(f"{bc} inverse at lambda=0 needs zero-mean data")
@@ -341,8 +341,8 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSerie
 def cosine_project(u: GridFunction, n_max: int) -> np.ndarray:
     """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y),
     by the GridFunction quadrature row by row, so c_0 is u.mean() bit for bit."""
-    if not n_max >= 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     y = u.nodes
     modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(np.arange(n_max + 1), y))
     modes[0] = 1.0

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from sheardisp.ou_process import (
-    OUParams, OUPath, integral_variance, realization_seed, sample_brownian_scaled, sample_ou,
-    time_grid,
+    OUParams, OUPath, integral_variance, realization_seed, sample_ou, time_grid,
 )
 from sheardisp.spectral_core import GridFunction, cosine_project
 from sheardisp.eff_diffusivity import (
-    FlowSpec, lambda_multiplicative, lambda_white, linear_profile, taylor_steady,
+    EigenData, FlowSpec, lambda_multiplicative, lambda_white, linear_profile, taylor_steady,
 )
 from sheardisp.aris_solver import ArisRecord, kappa_from_realization, solve_aris
 from sheardisp.monte_carlo import (
@@ -39,8 +38,14 @@ BAD_INPUTS = {
                                              sample_ou(OUParams(1.0), _GRID, seed=0)), "pe"),
     "integral_variance_gamma_zero": (lambda: integral_variance(0.0, 1.0), "gamma"),
     "integral_variance_gamma_nan": (lambda: integral_variance(math.nan, 1.0), "gamma"),
-    "brownian_scale_nan": (lambda: sample_brownian_scaled(_GRID, math.nan, 0), "scale"),
+    "integral_variance_t_negative": (lambda: integral_variance(1.0, -1.0), "t"),
+    "integral_variance_t_nan": (lambda: integral_variance(1.0, [0.5, math.nan]), "t"),
+    "integral_variance_t_inf": (lambda: integral_variance(1.0, math.inf), "t"),
     "cosine_project_negative": (lambda: cosine_project(linear_profile(), -1), "n_max"),
+    "cosine_project_fractional": (lambda: cosine_project(linear_profile(), 2.5), "n_max"),
+    "solve_aris_fractional_modes": (lambda: solve_aris(linear_profile(), 1.0,
+                                                       sample_ou(OUParams(1.0), _GRID, seed=0),
+                                                       n_max=2.5), "n_max"),
     "random_wave_a_nan": (lambda: simulate_random_wave(math.nan, 1.0, 0.5, n=10), "a"),
     "random_wave_n_zero": (lambda: simulate_random_wave(0.5, 1.0, 0.5, n=0), "n"),
     "sim_config_dt_inf": (lambda: SimConfig(dt=math.inf), "dt"),
@@ -539,19 +544,6 @@ def test_bad_t_end_raises(solver, t_end):
                                     t_end, InitialData.gaussian(0.5), cfg)
 
 
-def test_white_noise_path_raises():
-    # a white-noise-limit path carries only I(t): neither walk has a xi to read
-    u = linear_profile()
-    path = sample_brownian_scaled(time_grid(0.1, 0.01), 1.0, seed=3)
-    cfg = SimConfig(dt=0.01, n_particles=100, seed=4, pe=1.0)
-    with pytest.raises(ValueError, match="white-noise"):
-        simulate_forward(FlowSpec.multiplicative(u), 1.0, InitialData.delta_line(),
-                         0.1, cfg, path)
-    with pytest.raises(ValueError, match="white-noise"):
-        evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path, 0.0, 0.5,
-                                0.1, InitialData.gaussian(0.5), cfg)
-
-
 class TestWindModel:
     def test_time_outside_path_raises(self):
         # the drift needs I(t), which a path on [0, 1] does not have at t = 5
@@ -602,18 +594,21 @@ class TestWindModel:
 
 class TestRandomWave:
     def test_second_moment_prediction_at_fixed_time(self):
-        # <T^2(0, t)> from wind-model fields on white-noise paths matches the
-        # closed N = 2 moment prediction
+        # <T^2(0, t)> from wind-model fields on gamma = 1 OU paths matches the
+        # N = 2 moment of the exact finite-time pair (lambda2 - lambda11 (1 - v_t/t),
+        # lambda11 v_t/t), v_t = Var I(t); the long-time pair misses it by about 21 %
         from sheardisp.invariant_measure import nth_moment_prediction
         u = GridFunction.from_callable(lambda y: y + 0.5, 512)
-        eig = lambda_white(u, 1.0)
+        eig = lambda_multiplicative(u, 1.0, 1.0)
         grid = time_grid(1.0, 0.01)
         vals = np.array([
             float(wind_model_solution(0.0, 1.0,
-                                      sample_brownian_scaled(grid, 1.0, seed=23, realization=i),
+                                      sample_ou(OUParams(1.0), grid, seed=23, realization=i),
                                       eig, u.mean()))
             for i in range(30_000)])
-        predicted = nth_moment_prediction(2, 1.0, eig, 1.0)
+        share = float(integral_variance(1.0, 1.0))
+        exact = EigenData(eig.lambda2 - eig.lambda11 * (1.0 - share), eig.lambda11 * share, 1.0)
+        predicted = nth_moment_prediction(2, 1.0, exact, 1.0)
         assert abs(np.mean(vals**2) / predicted - 1.0) < 0.03
 
     def test_zero_mean_flow_gaussian_marginal(self):
@@ -654,6 +649,13 @@ class TestRandomWave:
         paths = [sample_ou(OUParams(1.0), grid, seed=4, realization=i) for i in range(4)]
         with pytest.warns(RuntimeWarning):
             simulate_random_wave(1.0, 1.0, 1.0, paths=paths)
+
+    def test_regime_warning_reads_the_longest_path(self):
+        # at a = 1/2 only the t = 10 path leaves the regime, in either order
+        paths = [sample_ou(OUParams(1.0), time_grid(t, 0.01), seed=4) for t in (0.1, 10.0)]
+        for ensemble in (paths, paths[::-1]):
+            with pytest.warns(RuntimeWarning, match="a\\^2 t = 2.5"):
+                simulate_random_wave(0.5, 1.0, 1.0, paths=ensemble)
 
     def test_needs_paths_or_count(self):
         with pytest.raises(ValueError):

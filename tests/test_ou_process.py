@@ -12,7 +12,6 @@ from sheardisp.ou_process import (
     _decay_scan,
     _write_csv,
     integral_variance,
-    sample_brownian_scaled,
     sample_ou,
     time_grid,
     transition_moments,
@@ -41,18 +40,14 @@ class TestParamsAndPathValidation:
             sample_ou(OUParams(1.0), np.array([]), seed=0)
         with pytest.raises(ValueError, match="uniform"):
             OUPath(times=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
-        grid = time_grid(1.0, 0.5)
-        with pytest.raises(ValueError, match="exactly one"):
-            OUPath(times=grid, values=np.zeros(3), integral=np.zeros(3))
-        with pytest.raises(ValueError, match="exactly one"):
-            OUPath(times=grid)
-        p = OUPath(times=grid, integral=np.array([0.0, 0.3, -0.1]))
+        # trapezoids of 0.5: I = [0, 0.3, -0.1]
+        p = OUPath(times=time_grid(1.0, 0.5), values=np.array([0.0, 1.2, -2.8]))
         assert p.dt == 0.5
         assert p.integral_at(0.75) == pytest.approx(0.1, abs=1e-15)
 
     def test_integral_at_outside_span(self):
-        p = OUPath(times=time_grid(1.0, 0.5), integral=np.array([0.0, 0.3, -0.1]))
-        assert p.integral_at(1.0 + 1e-12) == -0.1      # roundoff slack
+        p = OUPath(times=time_grid(1.0, 0.5), values=np.array([0.0, 1.2, -2.8]))
+        assert p.integral_at(1.0 + 1e-12) == p.integral[-1]     # roundoff slack
         assert p.integral_at(-1e-12) == 0.0
         for t in (-1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="span"):
@@ -70,8 +65,6 @@ class TestParamsAndPathValidation:
         # the exact transition runs as one fixed-step recurrence
         with pytest.raises(ValueError, match="uniform"):
             sample_ou(OUParams(1.0), np.array([0.0, 0.1, 0.3]), seed=0)
-        with pytest.raises(ValueError, match="uniform"):
-            sample_brownian_scaled(np.array([0.0, 0.1, 0.3]), 1.0, seed=0)
 
     @pytest.mark.parametrize("bad", [2e-9, -2e-9, math.nan])
     def test_one_interior_node_off_grid_raises(self, bad):
@@ -83,11 +76,6 @@ class TestParamsAndPathValidation:
             OUPath(times=grid, values=np.zeros(grid.size))
         grid[37] = 0.37 + 0.5e-9 * 0.01
         assert OUPath(times=grid, values=np.zeros(grid.size)).dt == 0.01
-
-    def test_mode_errors(self):
-        wp = sample_brownian_scaled(time_grid(1.0, 0.5), 1.0, seed=0)
-        with pytest.raises(ValueError):
-            _ = wp.xi          # pointwise values undefined in the limit
 
 
 class TestExactTransition:
@@ -160,7 +148,7 @@ class TestStationaryStatistics:
         # marginal variance gamma/2 at an interior time, within 3 SE
         gamma = 3.0
         grid = time_grid(1.0, 0.25)
-        vals = np.array([sample_ou(OUParams(gamma), grid, seed=5, realization=i).xi[2]
+        vals = np.array([sample_ou(OUParams(gamma), grid, seed=5, realization=i).values[2]
                          for i in range(12_000)])
         target = gamma / 2
         se = target * np.sqrt(2 / 12_000)
@@ -172,7 +160,7 @@ class TestStationaryStatistics:
         prods = np.empty(20_000)
         for i in range(20_000):
             p = sample_ou(OUParams(1.0), grid, seed=123, realization=i)
-            prods[i] = p.xi[0] * p.xi[1]
+            prods[i] = p.values[0] * p.values[1]
         target = 0.5 * np.exp(-1.0)
         se = prods.std() / np.sqrt(prods.size)
         assert abs(prods.mean() - target) < 3.5 * se
@@ -209,31 +197,13 @@ class TestIntegration:
         assert abs(np.mean(I**2) / 100.0 - 1.0) < 0.05
 
 
-class TestBrownianLimit:
-    def test_unit_variance(self):
-        grid = time_grid(1.0, 0.05)
-        ends = np.array([sample_brownian_scaled(grid, 1.0, seed=8, realization=i).integral[-1]
-                         for i in range(20_000)])
-        se = np.sqrt(2 / ends.size)
-        assert abs(ends.var() - 1.0) < 3 * se
-        # E[B(1)^2/2] = 1/2, the zero-diffusivity ensemble factor
-        assert abs(np.mean(ends**2) / 2 - 0.5) < 3 * se
-
-    def test_zero_scale(self):
-        p = sample_brownian_scaled(time_grid(1.0, 0.25), 0.0, seed=1)
-        assert np.all(p.integral == 0.0)
-
-
 def test_csv_export(tmp_path):
-    grid = time_grid(1.0, 0.25)
-    # the white-noise path has no values: its xi column is all NaN
-    for path in (sample_ou(OUParams(1.0), grid, seed=3), sample_brownian_scaled(grid, 1.0, seed=3)):
-        out = tmp_path / "path.csv"
-        path.to_csv(out)
-        assert out.read_text().splitlines()[0] == "t,xi,integral"
-        xi = path.values if path.values is not None else np.full(grid.size, np.nan)
-        expected = np.column_stack([path.times, xi, path.integral])
-        assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), expected, equal_nan=True)
+    path = sample_ou(OUParams(1.0), time_grid(1.0, 0.25), seed=3)
+    out = tmp_path / "path.csv"
+    path.to_csv(out)
+    assert out.read_text().splitlines()[0] == "t,xi,integral"
+    expected = np.column_stack([path.times, path.values, path.integral])
+    assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), expected)
 
 
 @pytest.mark.parametrize("rows", [1, _CSV_BLOCK, _CSV_BLOCK + 1])

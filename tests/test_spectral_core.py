@@ -125,6 +125,14 @@ class TestHelmholtzNeumann:
         with pytest.raises(ValueError):
             helmholtz_inverse(a, -1.0, "no-flux")
 
+    @pytest.mark.parametrize("bc", ["no-flux", "periodic"])
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_raises(self, bc, lam):
+        # lam = inf once returned all-NaN rows under a RuntimeWarning
+        a = GridFunction.from_callable(np.cos, 64)
+        with pytest.raises(ValueError, match="^lambda must be finite"):
+            helmholtz_inverse(a, lam, bc)
+
     def test_boundary_conditions(self):
         # data that is not itself periodic; lam = 400 is a stiff wavenumber
         a = GridFunction.from_callable(lambda y: y**2 + np.sin(3 * y), 1024)
