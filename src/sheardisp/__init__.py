@@ -16,7 +16,7 @@ import importlib
 _EXPORTS = {name: module for module, names in {
     "ou_process": "time_grid OUParams OUPath sample_ou integral_variance "
                   "realization_seed",
-    "spectral_core": "GridFunction HermiteSeries SolvabilityError helmholtz_inverse "
+    "spectral_core": "GridFunction HermiteSeries helmholtz_inverse "
                      "hermite_norm hermite_project cosine_project",
     "eff_diffusivity": "FlowSpec EigenData RepresentationMismatchError TruncationError "
                        "lambda2_general lambda11_general kappa_eff_general "

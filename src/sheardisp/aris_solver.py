@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ou_process import (
-    OUPath, _cumtrapz, _decay_scan, _require_finite, _require_positive, _write_csv,
+    OUPath, _cumtrapz, _decay_scan, _require_finite, _require_positive, _require_whole,
+    _write_csv,
 )
 from .spectral_core import GridFunction, _exp_moments, cosine_project, cosine_eigenvalue
 
@@ -101,8 +102,7 @@ def solve_aris(u: GridFunction, pe: float, path: OUPath, n_max: int = 8) -> Aris
     only T1bar and T2bar are tracked; T2bar sums 2 Pe^2 <u, phi_n>^2 J_n over
     the modes n = 1..n_max above roundoff, in one ``_mode_integrals`` call.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _require_whole(n_max, "n_max", 1)
     _require_finite(pe=pe)
     coeffs = cosine_project(u, n_max)
     t1 = pe * coeffs[0] * path.integral
@@ -142,9 +142,9 @@ def kappa_from_realization(record: ArisRecord) -> float:
 
 def _identity_statistic(path: OUPath, n: int) -> tuple[float, float]:
     """(lambda_n, J_n(t)/t at the path's end), read by the identity and the
-    damping estimator; mode 0 (lambda 0) has no identity."""
-    if n < 1:
-        raise ValueError(f"mode index n must be >= 1, got {n}")
+    damping estimator; n is an integer >= 1, since mode 0 (lambda 0) has no
+    identity."""
+    _require_whole(n, "mode index n", 1)
     lam = cosine_eigenvalue(n)
     return lam, float(exp_weighted_integral(path, lam)[-1]) / path.t_end
 

@@ -33,7 +33,6 @@ from .spectral_core import (
     _helmholtz_rows,
     _inner_weights,
     hermite_norm,
-    helmholtz_inverse,
 )
 
 
@@ -154,9 +153,17 @@ _N_Z = 4000               # on _N_Z (even) intervals
 
 def _lambda2_terms(rows: list, gamma: float, pe: float, bc: str, first: int = 0) -> list:
     """The terms 2 Pe^2 n! 2^n <a_n, (n gamma - Lap)^{-1} a_n> of lambda2 - 2
-    for GridFunctions a_n, n = first, first + 1, ...: n = 0 by the lambda = 0
-    inverse, all n >= 1 by one stacked resolvent (a zero row gives 0)."""
-    inner = [rows[0].inner(helmholtz_inverse(rows[0], 0.0, bc))] if first == 0 else []
+    for GridFunctions a_n, n = first, first + 1, ...: all n >= 1 by one
+    stacked resolvent (a zero row gives 0), and n = 0, for zero-mean a_0,
+    as Taylor's <A, A> with A = int_0^y a_0, less Abar^2 between periodic
+    walls.  Both follow from b' = -A + c for -b'' = a_0: no-flux walls
+    force c = 0 and periodicity c = Abar, and <a_0, b> = <A - c, A - c>."""
+    if bc not in ("no-flux", "periodic"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    inner = []
+    if first == 0:
+        cum = rows[0].with_values(_decay_integral(rows[0].values, rows[0].h, 0.0))
+        inner.append(cum.inner(cum) - (cum.mean() ** 2 if bc == "periodic" else 0.0))
     if len(rows) > len(inner):
         a = np.array([r.values for r in rows[len(inner):]])
         lam = gamma * np.arange(first + len(inner), first + len(rows))
@@ -169,8 +176,9 @@ def _lambda2_terms(rows: list, gamma: float, pe: float, bc: str, first: int = 0)
 def lambda2_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda2Result:
     """lambda2 = 2 + 2 Pe^2 sum_n n! 2^n int a_n (n*gamma - Lap)^{-1} a_n dy.
 
-    The n = 0 term uses the zero-eigenvalue inverse, which is solvable
-    because a_0 is stored in the Galilean frame (zero mean).  Every mode
+    The n = 0 term is Taylor's int A^2, A = int_0^y a_0 (Var A between
+    periodic walls), which holds because a_0 is stored in the Galilean
+    frame (zero mean).  Every mode
     of the series contributes; the diagnostic reports whether the series
     visibly converged (every term beyond some index below 1e-12 of the
     enhancement) before running out of modes.  If the top mode is still
@@ -289,8 +297,9 @@ def lambda_white(u: GridFunction, pe: float) -> EigenData:
 def taylor_steady(v: GridFunction, pe: float, bc: str = "no-flux") -> float:
     """Steady-shear Taylor dispersion, the n = 0 term of a_0 = vbar:
     kappa_eff = 1 + Pe^2 <vbar, (-Lap)^{-1} vbar>, with vbar = v minus its
-    cross-sectional mean (Galilean frame); with no-flux walls this is
-    1 + Pe^2 int_0^1 (int_0^y vbar)^2 dy."""
+    cross-sectional mean (Galilean frame).  With A = int_0^y vbar this is
+    1 + Pe^2 int_0^1 A^2 dy between no-flux walls and
+    1 + Pe^2 (int_0^1 A^2 dy - (int_0^1 A dy)^2) between periodic walls."""
     _require_finite(pe=pe)
     return 1.0 + 0.5 * _lambda2_terms([v.centered()], 0.0, pe, bc)[0]
 

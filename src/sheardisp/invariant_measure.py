@@ -316,11 +316,12 @@ def gaussian_variance_spectral(alpha: float, cutoff, kappa_eff: float, t: float,
     """Variance of the limiting Gaussian law for stratified random initial
     data with spectral exponent alpha and cutoff profile phi0hat:
 
-        int |h|^alpha phi0hat(h)^2 exp(-kappa_eff h^2 t) dh.
+        int |h|^alpha phi0hat(h)^2 exp(-2 kappa_eff h^2 t) dh,
 
-    The limit law is Normal(0, this variance) regardless of the driving
-    process.  ``h_max`` truncates the integration for compactly
-    supported cutoffs.
+    the square of the heat kernel's amplitude decay exp(-kappa_eff h^2 t)
+    (``InitialData.value``).  The limit law is Normal(0, this variance)
+    regardless of the driving process.  ``h_max`` (> 0, default infinite)
+    truncates the integration for compactly supported cutoffs.
     """
     from scipy.integrate import quad
 
@@ -329,9 +330,11 @@ def gaussian_variance_spectral(alpha: float, cutoff, kappa_eff: float, t: float,
     if not (0.0 <= kappa_eff < math.inf and 0.0 <= t < math.inf):
         raise ValueError(f"kappa_eff and t must be finite and nonnegative, "
                          f"got {kappa_eff!r} and {t!r}")
+    if not h_max > 0.0:                     # also rejects a NaN h_max
+        raise ValueError(f"h_max must be positive, got {h_max!r}")
 
     def integrand(h):
-        return h**alpha * cutoff(h) ** 2 * math.exp(-kappa_eff * h * h * t)
+        return h**alpha * cutoff(h) ** 2 * math.exp(-2.0 * kappa_eff * h * h * t)
 
     val, _ = quad(integrand, 0.0, h_max, limit=200)
     return 2.0 * val

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ou_process import OUPath, _require_positive, _step_count, realization_seed
+from .ou_process import OUPath, _require_positive, _require_whole, _step_count, realization_seed
 from .eff_diffusivity import EigenData, FlowSpec
 from .aris_solver import ArisRecord
 
@@ -55,8 +55,8 @@ class SimConfig:
 
     def __post_init__(self):
         _require_positive(dt=self.dt)
-        if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
-            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
+        _require_whole(self.n_particles, "n_particles", 1)
+        _require_whole(self.seed, "seed", 0)
         if not (math.isfinite(self.pe) and self.pe >= 0):
             raise ValueError(f"pe must be finite and nonnegative, got {self.pe!r}")
 
@@ -302,15 +302,18 @@ def wind_model_solution(x, t: float, path: OUPath, eigen: EigenData, ubar: float
 def simulate_random_wave(a: float, pe: float, ubar: float,
                          paths: Optional[list[OUPath]] = None, n: Optional[int] = None,
                          x: float = 0.0, seed: int = 0) -> np.ndarray:
-    """Rescaled random-wave scalar samples Ttilde = Z cos(a x + a Pe ubar I(t)).
+    """Rescaled random-wave scalar samples Ttilde = Z cos(a (x - Pe ubar I(t))).
 
-    The combined Gaussian wave amplitude Z (the "2 Re A" factor) carries
-    unit variance, which is the normalization under which the limiting
-    density is the Bessel-K0 law with variance 1/2 and kurtosis 9/2.
-    With ``paths`` the phase comes from each realization's OU integral
-    (regime flag: the rescaling neglects O(a^2 t) decay curvature, so
-    a^2 t should stay small on the longest path); without paths the phase
-    is drawn uniform, which is the long-time law.
+    The combined Gaussian wave amplitude Z (the "2 Re A" factor, drawn
+    from ``realization_seed(seed, 0)``) carries unit variance, which is the
+    normalization under which the limiting density is the Bessel-K0 law
+    with variance 1/2 and kurtosis 9/2.  With ``paths`` the phase comes
+    from each realization's OU integral, so sample i is the wind-model
+    field of ``InitialData.random_wave(a, Z_i / 2)`` on path i divided by
+    its decay exp(-a^2 kappa_eff t) (regime flag: the rescaling neglects
+    O(a^2 t) decay curvature, so a^2 t should stay small on the longest
+    path); without paths the phase is drawn uniform, which is the
+    long-time law.
     """
     if not 0 < a < math.inf:
         raise ValueError(f"random-wave wavenumber a must be finite and positive, got {a!r}")
@@ -322,12 +325,11 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
         if a * a * t_end > 0.1:
             warnings.warn(f"a^2 t = {a * a * t_end:.3g} > 0.1: outside the "
                           "random-wave rescaling regime", RuntimeWarning)
-        eta = np.array([a * x + a * pe * ubar * p.integral_at(p.t_end) for p in paths])
+        eta = np.array([a * (x - pe * ubar * p.integral_at(p.t_end)) for p in paths])
     else:
         if n is None:
             raise ValueError("need either an ensemble of paths or a sample count")
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError(f"sample count n must be an integer >= 1, got {n!r}")
+        _require_whole(n, "sample count n", 1)
         eta = rng.uniform(0.0, 2.0 * math.pi, n)
     amplitude = rng.standard_normal(eta.size)
     return amplitude * np.cos(eta)

@@ -103,6 +103,12 @@ def _require_positive(**args: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_whole(value, name: str, low: int) -> None:
+    """An int or numpy integer (not a bool) >= low, else ``ValueError`` naming it."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
+
+
 def time_grid(t_end: float, dt: float) -> np.ndarray:
     """Uniform grid over [0, t_end] with spacing dt (t_end/dt must be whole)."""
     return np.linspace(0.0, t_end, _step_count(t_end, dt) + 1)
@@ -125,8 +131,10 @@ def realization_seed(seed: int, index: int) -> np.random.SeedSequence:
     """Splittable per-realization seed: realization i mixes (seed, i).
 
     SeedSequence hashes the pair, so ensembles are order-independent and
-    safe to draw in parallel.
+    safe to draw in parallel.  Both must be integers >= 0.
     """
+    _require_whole(seed, "seed", 0)
+    _require_whole(index, "index", 0)
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 

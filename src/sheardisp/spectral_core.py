@@ -1,12 +1,11 @@
 """Shared numerical kernels.
 
-One Helmholtz/Laplace inverse (-d^2/dy^2 + lambda)^{-1} on the channel
-cross section [0, 1]: for lambda > 0 the free-space kernel
-exp(-s|y - q|)/(2s), s = sqrt(lambda), plus one decaying exponential per
-wall, whose two coefficients are all that no-flux and periodic walls
-change, solved for a stack of rows with one rate per row (every Hermite
-mode n >= 1 of lambda2 in one call); for lambda = 0 a double antiderivative
-by the same step integrals at s = 0.  Also grid functions with one
+One Helmholtz inverse (-d^2/dy^2 + lambda)^{-1}, lambda > 0, on the channel
+cross section [0, 1]: the free-space kernel exp(-s|y - q|)/(2s),
+s = sqrt(lambda), plus one decaying exponential per wall, whose two
+coefficients are all that no-flux and periodic walls change, solved for a
+stack of rows with one rate per row (every Hermite mode n >= 1 of lambda2
+in one call).  Also grid functions with one
 quadrature rule (Boole's, for integrals, means and inner products),
 Hermite series and their Gauss-Hermite projections (numpy's ``hermval``
 and ``hermvander`` do the Hermite algebra, reached where they are called
@@ -32,11 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ou_process import _decay_scan, _require_positive
-
-
-class SolvabilityError(ValueError):
-    """Zero-eigenvalue inverse requested for data with nonzero mean."""
+from .ou_process import _decay_scan, _require_positive, _require_whole
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +81,7 @@ class GridFunction:
         return float(np.sum(self.values * _inner_weights(self.nodes.size - 1)))
 
     def is_zero_mean(self) -> bool:
-        """Solvability of the lambda = 0 inverse: |mean| <= 1e-10 (1 + max|values|)."""
+        """Mean zero up to roundoff: |mean| <= 1e-10 (1 + max|values|)."""
         return bool(abs(self.mean()) <= 1e-10 * (1.0 + np.abs(self.values).max()))
 
     def inner(self, other: "GridFunction") -> float:
@@ -148,7 +143,7 @@ def _inner_weights(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Helmholtz / Laplace inverses
+# Helmholtz inverse
 # ---------------------------------------------------------------------------
 
 # C[c, i, k]: the coefficient of u^k (u = 1 - t) in the Lagrange basis
@@ -204,8 +199,9 @@ def _decay_integral(a_vals: np.ndarray, h: float, s) -> np.ndarray:
 
 
 def _helmholtz_rows(a: np.ndarray, nodes: np.ndarray, lam: np.ndarray, bc: str) -> np.ndarray:
-    """The lam > 0 kernel of ``helmholtz_inverse`` for a stack of rows a_r on
-    ``nodes``, one rate lam_r per row; all decay integrals in one call."""
+    """The kernel of ``helmholtz_inverse`` for a stack of rows a_r on
+    ``nodes``, one rate lam_r > 0 per row; all decay integrals in one call.
+    The callers check the wall name."""
     s = np.sqrt(lam)
     fwd, bwd = _decay_integral(np.array((a, a[:, ::-1])), nodes[1] - nodes[0], s)
     bwd, s, ms = bwd[:, ::-1], s[:, None], -s[:, None]
@@ -213,21 +209,19 @@ def _helmholtz_rows(a: np.ndarray, nodes: np.ndarray, lam: np.ndarray, bc: str) 
     if bc == "no-flux":
         d = -np.expm1(2.0 * ms)             # 1 - E^2
         alpha, beta = (b0 + e * f1) / d, (f1 + e * b0) / d
-    elif bc == "periodic":
-        d = -np.expm1(ms)                   # 1 - E
-        alpha, beta = f1 / d, b0 / d
     else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+        d = -np.expm1(ms)                   # 1 - E, periodic
+        alpha, beta = f1 / d, b0 / d
     b = (fwd + bwd + alpha * np.exp(ms * nodes) + beta * np.exp(ms * (1.0 - nodes))) / (2.0 * s)
     w = _inner_weights(nodes.size - 1)
     return b + ((a * w).sum(-1) / lam - (b * w).sum(-1))[:, None]
 
 
 def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
-    """Solve -b'' + lam*b = a on [0, 1] with no-flux (b'(0) = b'(1) = 0) or
-    periodic (b(0) = b(1), b'(0) = b'(1)) walls.
+    """Solve -b'' + lam*b = a on [0, 1], 0 < lam < inf, with no-flux
+    (b'(0) = b'(1) = 0) or periodic (b(0) = b(1), b'(0) = b'(1)) walls.
 
-    For lam > 0, with s = sqrt(lam), E = exp(-s), the free-space kernel
+    With s = sqrt(lam), E = exp(-s), the free-space kernel
     exp(-s|y - q|)/(2s) plus one decaying exponential from each wall,
 
         b = (F + B + alpha exp(-s y) + beta exp(-s (1 - y))) / (2s),
@@ -239,23 +233,11 @@ def helmholtz_inverse(a: GridFunction, lam: float, bc: str) -> GridFunction:
     which sets b's constant mode, where the walls would otherwise amplify
     the quadrature error of F(1) and B(0) by 1/lam as lam -> 0.  This is
     the one-row case of the stacked kernel ``_helmholtz_rows``.
-
-    lam = 0 needs zero-mean data (else SolvabilityError) and returns
-    -D(y), D(y) = int_0^y int_0^{y1} a; periodic walls add D(1) y + D(1),
-    the linear term periodicity b(0) = b(1) forces.
     """
     if bc not in ("no-flux", "periodic"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    if lam == 0.0:
-        if not a.is_zero_mean():
-            raise SolvabilityError(f"{bc} inverse at lambda=0 needs zero-mean data")
-        second = _decay_integral(_decay_integral(a.values, a.h, 0.0), a.h, 0.0)
-        b = -second
-        if bc == "periodic":
-            b = b + second[-1] * a.nodes + second[-1]
-        return a.with_values(b)
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     return a.with_values(_helmholtz_rows(a.values[None], a.nodes, np.array([float(lam)]), bc)[0])
 
 
@@ -341,8 +323,7 @@ def hermite_project(v, gamma: float, n_h: int, grid: np.ndarray) -> HermiteSerie
 def cosine_project(u: GridFunction, n_max: int) -> np.ndarray:
     """Coefficients <u, phi_n> for phi_0 = 1, phi_n = sqrt(2) cos(n pi y),
     by the GridFunction quadrature row by row, so c_0 is u.mean() bit for bit."""
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
+    _require_whole(n_max, "n_max", 0)
     y = u.nodes
     modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(np.arange(n_max + 1), y))
     modes[0] = 1.0

@@ -218,6 +218,13 @@ class TestGammaEstimator:
             estimate_gamma(path, 0)
         with pytest.raises(ValueError, match="n must be >= 1"):
             ou_integral_identity(0, 1.0, path)
+        # a fractional or bool mode once read the mode-1.5 or mode-1 statistic
+        for n in (1.5, True):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                estimate_gamma(path, n)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                ou_integral_identity(n, 1.0, path)
+        assert estimate_gamma(path, np.int64(1)) == estimate_gamma(path, 1)
 
     def test_out_of_domain(self):
         # a large constant path drives the statistic past 1/2

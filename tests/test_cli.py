@@ -119,11 +119,12 @@ def test_start_up_loads_only_the_layers_it_runs(code, layers, polynomial):
 
 # the names the package exported when it imported every layer eagerly, less
 # pdf_random_wave_tail, the expansion that the exact density made redundant,
-# and the scaled-Brownian path sampler, which no result used once OU paths
-# carried the finite-time law
+# the scaled-Brownian path sampler, which no result used once OU paths
+# carried the finite-time law, and SolvabilityError, whose lambda = 0
+# inverse gave way to the steady Taylor form int A^2
 _PUBLIC_NAMES = """
     time_grid OUParams OUPath sample_ou integral_variance
-    realization_seed GridFunction HermiteSeries SolvabilityError helmholtz_inverse
+    realization_seed GridFunction HermiteSeries helmholtz_inverse
     hermite_norm hermite_project cosine_project FlowSpec EigenData
     RepresentationMismatchError TruncationError lambda2_general lambda11_general
     kappa_eff_general lambda_multiplicative lambda_white taylor_steady small_gamma_asymptotic

@@ -225,9 +225,10 @@ class TestGeneralSeries:
         a1, a3 = GridFunction(NODES, NODES**2 + 0.2), GridFunction(NODES, 0.1 * NODES)
         series = HermiteSeries([a0, a1, ZEROS, a3, ZEROS])
         res = lambda2_general(FlowSpec.general(series), gamma, pe)
-        one_by_one = sum(2 * pe**2 * math.factorial(n) * 2**n
-                         * a.inner(helmholtz_inverse(a, n * gamma, "no-flux"))
-                         for n, a in ((0, a0), (1, a1), (3, a3)))
+        # n = 0 through taylor_steady, n >= 1 through one resolvent each
+        one_by_one = 2 * (taylor_steady(a0, pe) - 1) + sum(
+            2 * pe**2 * math.factorial(n) * 2**n
+            * a.inner(helmholtz_inverse(a, n * gamma, "no-flux")) for n, a in ((1, a1), (3, a3)))
         assert res.value - 2.0 == pytest.approx(one_by_one, rel=1e-13)
         assert (res.n_terms, res.stopped_by) == (4, "tolerance")
         # the same modes without the terminator: the top mode is significant
@@ -317,6 +318,30 @@ class TestSteadyTaylor:
         v1 = GridFunction.from_callable(lambda y: y - 0.5, 256)
         v2 = GridFunction.from_callable(lambda y: y + 3.0, 256)
         assert taylor_steady(v1, 2.0) == pytest.approx(taylor_steady(v2, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bc, v, exact, bound", [
+        # a = y^2 - 1/3: A = (y^3 - y)/3, int A^2 = 8/945, Abar = -1/12; A is
+        # a cubic the running integral takes exactly (measured 4e-17, 7e-17)
+        ("no-flux", lambda y: y**2 - 1 / 3, 8 / 945, 1e-14),
+        ("periodic", lambda y: y**2 - 1 / 3, 8 / 945 - 1 / 144, 1e-14),
+        # A = (1 - cos 2 pi y)/(2 pi): int A^2 = 3/(8 pi^2) and Abar^2 =
+        # 1/(4 pi^2), the case where Abar matters (measured -8.8e-12)
+        ("periodic", lambda y: np.sin(2 * np.pi * y), 1 / (8 * np.pi**2), 1e-10),
+    ], ids=["no-flux", "periodic", "periodic-sine"])
+    def test_n0_term_is_taylors_form(self, bc, v, exact, bound):
+        # the n = 0 term <a, (-Lap)^{-1} a> = int A^2 (no-flux) or Var A
+        # (periodic), A = int_0^y a, at Pe = 1 on n = 512
+        a = GridFunction.from_callable(v, 512)
+        assert abs(taylor_steady(a, 1.0, bc=bc) - 1 - exact) <= bound
+
+
+@pytest.mark.parametrize("call", [
+    lambda: taylor_steady(linear_profile(64), 1.0, bc="bogus"),
+    lambda: lambda_multiplicative(linear_profile(64), 1.0, 1.0, bc="bogus"),
+], ids=["taylor_steady", "lambda_multiplicative"])
+def test_unknown_wall_raises(call):
+    with pytest.raises(ValueError, match="unknown boundary condition 'bogus'"):
+        call()
 
 
 class TestDimensionalForms:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import erfc, k0e
 
 from sheardisp.eff_diffusivity import lambda_multiplicative
+from sheardisp.monte_carlo import InitialData
 from sheardisp.spectral_core import GridFunction
 from sheardisp.invariant_measure import (
     BetaSpec,
@@ -288,14 +289,35 @@ class TestSpectralVariance:
             with pytest.raises(ValueError):
                 gaussian_variance_spectral(alpha, lambda h: 1.0, kappa_eff, t)
 
+    @pytest.mark.parametrize("h_max", [0.0, -1.0, math.nan])
+    def test_h_max_domain(self, h_max):
+        # h_max = -1 once returned -1.49 and NaN returned 0.0
+        with pytest.raises(ValueError, match=r"\bh_max must be"):
+            gaussian_variance_spectral(0.0, lambda h: 1.0, 1.0, 1.0, h_max=h_max)
+
+    def test_pe_zero_is_the_heat_kernel_variance(self):
+        # at Pe = 0 (kappa_eff = 1) each mode h of the data is the random
+        # wave with amplitude 1/2 smoothed by the heat kernel, so the variance
+        # at x = 0 is 2 int h^alpha phi0hat^2 value(0, t)^2 dh, here by a fine
+        # trapezoid; the amplitude decay exp(-h^2 t) once stood in for its
+        # square, giving Gamma(1/2)/sqrt(1.8) = 1.321 against 1.099
+        t = 0.8
+        h = np.linspace(0.0, 8.0, 8_001)
+        value = np.array([InitialData.random_wave(k, 0.5).value(0.0, t) for k in h[1:]])
+        f = np.exp(-h * h) * np.concatenate(([1.0], value)) ** 2
+        expected = 2.0 * float(np.sum(f[1:] + f[:-1]) * 0.5 * (h[1] - h[0]))
+        got = gaussian_variance_spectral(0.0, lambda k: math.exp(-k * k / 2), 1.0, t)
+        assert got == pytest.approx(expected, abs=1e-6)
+
     @staticmethod
     def _check_gaussian_cutoff(alpha):
         # phi0hat = exp(-h^2/2), kappa_eff = 1: 2 int_0^inf h^alpha
-        # exp(-(1 + kt) h^2) dh = Gamma(p) / (1 + kt)^p, p = (alpha + 1)/2
+        # exp(-(1 + 2kt) h^2) dh = Gamma(p) / (1 + 2kt)^p, p = (alpha + 1)/2
         p = (alpha + 1.0) / 2.0
         for kt in (0.0, 0.8):
             val = gaussian_variance_spectral(alpha, lambda h: math.exp(-h * h / 2), 1.0, kt)
-            assert val == pytest.approx(math.gamma(p) / (1.0 + kt) ** p, rel=1e-10), (alpha, kt)
+            assert val == pytest.approx(math.gamma(p) / (1.0 + 2.0 * kt) ** p,
+                                        rel=1e-10), (alpha, kt)
 
     def test_gaussian_cutoff_closed_form(self):
         for alpha in (0.0, 1.0, 2.0):

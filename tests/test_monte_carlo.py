@@ -50,6 +50,16 @@ BAD_INPUTS = {
     "random_wave_n_zero": (lambda: simulate_random_wave(0.5, 1.0, 0.5, n=0), "n"),
     "sim_config_dt_inf": (lambda: SimConfig(dt=math.inf), "dt"),
     "sim_config_fractional_particles": (lambda: SimConfig(n_particles=2.5), "n_particles"),
+    # seeds are checked where they are mixed, not deep inside numpy
+    "sim_config_seed_negative": (lambda: SimConfig(seed=-1), "seed"),
+    "sample_ou_seed_negative": (lambda: sample_ou(OUParams(1.0), _GRID, seed=-1), "seed"),
+    "sample_ou_realization_negative": (lambda: sample_ou(OUParams(1.0), _GRID, seed=0,
+                                                         realization=-1), "index"),
+    "realization_seed_fractional": (lambda: realization_seed(1.5, 0), "seed"),
+    "realization_seed_bool": (lambda: realization_seed(0, True), "index"),
+    # a bool is not a count: True once read as one particle or n_max = 1
+    "sim_config_bool_particles": (lambda: SimConfig(n_particles=True), "n_particles"),
+    "cosine_project_bool": (lambda: cosine_project(linear_profile(), True), "n_max"),
 }
 
 
@@ -610,6 +620,24 @@ class TestRandomWave:
         exact = EigenData(eig.lambda2 - eig.lambda11 * (1.0 - share), eig.lambda11 * share, 1.0)
         predicted = nth_moment_prediction(2, 1.0, exact, 1.0)
         assert abs(np.mean(vals**2) / predicted - 1.0) < 0.03
+
+    def test_path_samples_are_the_rescaled_wind_field(self):
+        # sample i is the wind-model field of random-wave data with amplitude
+        # Z_i / 2 on path i divided by its decay exp(-a^2 kappa_eff t): the
+        # same phase a (x - Pe ubar I), path by path (the opposite sign
+        # agrees only in law, and misses here by up to 0.027)
+        a, x, t, seed = 0.5, 0.3, 0.2, 3
+        u = GridFunction.from_callable(lambda y: y + 0.5, 512)
+        eig = lambda_multiplicative(u, 1.0, 1.0)
+        paths = [sample_ou(OUParams(1.0), time_grid(t, 0.01), seed=seed, realization=i)
+                 for i in range(5)]
+        samples = simulate_random_wave(a, 1.0, u.mean(), paths=paths, x=x, seed=seed)
+        z = np.random.default_rng(realization_seed(seed, 0)).standard_normal(5)
+        wind = [float(wind_model_solution(x, t, p, eig, u.mean(),
+                                          init=InitialData.random_wave(a, zi / 2)))
+                for p, zi in zip(paths, z)]
+        decay = math.exp(-a * a * eig.kappa_eff * t)
+        np.testing.assert_allclose(samples, np.array(wind) / decay, rtol=0, atol=1e-12)
 
     def test_zero_mean_flow_gaussian_marginal(self):
         # ubar = 0 freezes the phase at a*x, so the marginal at fixed x is a
