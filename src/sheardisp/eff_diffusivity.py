@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -229,7 +230,7 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     value = (2.0 * pe**2 / gamma) * sum(hermite_norm(n) / n * abar[n] ** 2
                                         for n in range(1, series.n_modes + 1))
 
-    integral = _lambda11_integral(series, gamma, pe)
+    integral = _lambda11_integral(abar, gamma, pe)
 
     tol = _LAMBDA11_RTOL * abs(value) + 1e-10 * (1.0 + pe**2 / gamma)
     if not abs(value - integral) <= tol:
@@ -239,17 +240,24 @@ def lambda11_general(flow: FlowSpec, gamma: float, pe: float) -> Lambda11Result:
     return Lambda11Result(value, integral)
 
 
-def _lambda11_integral(series: HermiteSeries, gamma: float, pe: float) -> float:
-    z = np.linspace(-_Z_MAX, _Z_MAX, _N_Z + 1)
-    h = z[1] - z[0]
-    f = np.exp(-z * z) * series.vbar(z)
+@lru_cache(maxsize=8)
+def _lambda11_table(n_modes: int, z_max: float, n_z: int) -> tuple:
+    """Nodes z of |z| <= z_max, e^{-z^2} H_n(z) (a row per node), 2 z_max e^{z^2} w."""
+    z = np.linspace(-z_max, z_max, n_z + 1)
+    herm = np.polynomial.hermite.hermvander(z, n_modes) * np.exp(-z * z)[:, None]
+    outer = 2.0 * z_max * np.exp(z * z) * _inner_weights(n_z)
+    z.flags.writeable = herm.flags.writeable = outer.flags.writeable = False   # cached
+    return z, herm, outer
+
+
+def _lambda11_integral(abar: np.ndarray, gamma: float, pe: float) -> float:
+    """lambda11's integral route from abar_n, on the table cached per (modes, _Z_MAX, _N_Z)."""
+    z, herm, outer = _lambda11_table(abar.size - 1, _Z_MAX, _N_Z)
+    f = np.einsum("ij,j->i", herm, abar)    # e^{-z^2} vbar(z); einsum stays off threaded BLAS
     # forward from -z_max on the left half, backward from +z_max on the right
-    fwd, bwd = _decay_integral(np.array((f, f[::-1])), h, 0.0)
+    fwd, bwd = _decay_integral(np.array((f, f[::-1])), z[1] - z[0], 0.0)
     cum = np.where(z < 0, fwd, -bwd[::-1])
-    outer = np.exp(z * z) * cum * cum
-    # the package's one rule, scaled from [0, 1] to [-z_max, z_max]
-    integral = 2.0 * _Z_MAX * np.sum(outer * _inner_weights(_N_Z))
-    return 4.0 * pe**2 / (gamma * np.sqrt(np.pi)) * integral
+    return 4.0 * pe**2 / (gamma * np.sqrt(np.pi)) * np.sum(outer * cum * cum)
 
 
 def kappa_eff_general(flow: FlowSpec, gamma: float, pe: float) -> EigenData:

@@ -106,8 +106,8 @@ def nth_moment_prediction(n: int, mass: float, eig: EigenData, t: float) -> floa
     """Long-time N-th one-point moment at x = 0, the correlator at N = n
     coincident points: <T^N> = mass^N (4 pi t kappa_eff)^{-N/2} (1 + N beta)^{-1/2},
     the last factor ``moment_function(N, EigenData.beta)``.  A non-integer
-    n, or n < 1, raises ``ValueError``."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    n (a bool among them), or n < 1, raises ``ValueError``."""
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"correlator order n must be an integer >= 1, got n={n!r}")
     return npoint_correlator(np.zeros(n), mass, eig, t)
 

@@ -169,11 +169,15 @@ def _draw_ou_values(gamma: float, t: np.ndarray, rng: np.random.Generator) -> np
     return _decay_scan(inp, decay)
 
 
-@lru_cache(maxsize=64)
-def _scan_weights(d: float, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d^j, d^-j) for j = 0..length-1; d^-j stays below e^200."""
+def _scan_weights(d, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d^j, d^-j), j = 0..length-1, for a float d or a column of rates; d^-j < e^200."""
     j = np.arange(length, dtype=float)
-    up, down = d**j, d**-j
+    return d**j, d**-j
+
+
+@lru_cache(maxsize=64)
+def _cached_scan_weights(d: float, length: int) -> tuple[np.ndarray, np.ndarray]:
+    up, down = _scan_weights(d, length)
     up.flags.writeable = down.flags.writeable = False   # shared through the cache
     return up, down
 
@@ -184,7 +188,9 @@ def _decay_scan(inp: np.ndarray, d) -> np.ndarray:
     scanned at once in m even blocks of L <= ceil(200/|ln d|) nodes (d = 1
     is a plain cumsum) as y_j = d^j cumsum(inp_i d^-i) plus d^(j+1) times
     the previous block's last local value; the carry from two blocks back,
-    below d^L < e^-100, is dropped.  The rows of one m form one stack."""
+    below d^L < e^-100, is dropped.  The rows of one m form one stack.
+    Float rates (OU paths, Aris modes) recur, so their weights are cached; a
+    list (resolvent rates, set by each call's gamma) gets one power call."""
     n, ds = inp.shape[-1], ([d] if isinstance(d, float) else d)
     # m per rate; m = 0 marks d = 1 (a cumsum), m = -1 marks d = 0 (y = inp)
     counts = [-(-n // math.ceil(200.0 / -math.log(v))) if 0.0 < v < 1.0 else int(v) - 1 for v in ds]
@@ -199,8 +205,8 @@ def _decay_scan(inp: np.ndarray, d) -> np.ndarray:
     if m < 1:
         return np.cumsum(inp, axis=-1) if m == 0 else inp.copy()
     length = -(-n // m)
-    up, down = (_scan_weights(d, length) if isinstance(d, float) else
-                np.array([_scan_weights(v, length) for v in ds]).transpose(1, 0, 2))
+    up, down = (_cached_scan_weights(d, length) if isinstance(d, float) else
+                _scan_weights(np.array(ds)[:, None], length))
     if m == 1:                              # no padding and no carry
         out = inp * down
         np.cumsum(out, axis=-1, out=out)

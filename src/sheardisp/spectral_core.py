@@ -274,8 +274,9 @@ class HermiteSeries:
         return len(self.coeffs) - 1
 
     def mean_coefficients(self) -> np.ndarray:
-        """Cross-sectional means abar_n; abar_0 is zero by construction."""
-        return np.array([c.mean() for c in self.coeffs])
+        """abar_n (abar_0 = 0): one stacked product, rows summed bit for bit as ``mean()``."""
+        values = np.array([c.values for c in self.coeffs])
+        return (values * _inner_weights(values.shape[1] - 1)).sum(axis=1)
 
     def vbar(self, z) -> np.ndarray:
         """Cross-sectionally averaged flow sum_n abar_n H_n(z)."""

@@ -270,7 +270,7 @@ class TestMomentPredictions:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             npoint_correlator([], 1.0, EIG, 1.0)
-        for n in (0, -1, 2.5, 2.0, math.nan):
+        for n in (0, -1, 2.5, 2.0, math.nan, True, False):
             with pytest.raises(ValueError, match=r"order n must be an integer >= 1"):
                 nth_moment_prediction(n, 1.0, EIG, 1.0)
         with pytest.raises(ValueError):

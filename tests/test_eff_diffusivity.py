@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from sheardisp import eff_diffusivity
-from sheardisp.spectral_core import GridFunction, HermiteSeries, helmholtz_inverse, hermite_project
+from sheardisp.ou_process import _cached_scan_weights
+from sheardisp.spectral_core import (
+    GridFunction,
+    HermiteSeries,
+    _decay_integral,
+    _inner_weights,
+    helmholtz_inverse,
+    hermite_norm,
+    hermite_project,
+)
 from sheardisp.eff_diffusivity import (
     EigenData,
     FlowSpec,
@@ -193,6 +202,32 @@ class TestGeneralSeries:
         res = lambda11_general(flow, gamma, pe)
         assert res.value == pytest.approx(8 * pe**2 / gamma, rel=1e-12)
         assert res.integral == pytest.approx(res.value, rel=1e-8)
+
+    def test_lambda11_integral_matches_the_vbar_route(self):
+        # reference: e^{-z^2} vbar(z) by hermval on the same |z| <= 8 grid,
+        # inner integral and outer rule as the cached e^{-z^2} H_n table
+        rng = np.random.default_rng(8)
+        z = np.linspace(-8.0, 8.0, 4001)
+        for gamma, pe in ((0.3, 1.5), (2.0, 7.0), (40.0, 15.0)):
+            coeffs = [GridFunction(NODES, (rng.normal() * np.cos(np.pi * NODES) + rng.normal() * NODES)
+                                   / math.sqrt(hermite_norm(n))) for n in range(9)]
+            coeffs[0] = coeffs[0].centered()
+            series = HermiteSeries(coeffs + [ZEROS])
+            f = np.exp(-z * z) * series.vbar(z)
+            fwd, bwd = _decay_integral(np.array((f, f[::-1])), z[1] - z[0], 0.0)
+            cum = np.where(z < 0, fwd, -bwd[::-1])
+            outer = 16.0 * np.sum(np.exp(z * z) * cum * cum * _inner_weights(4000))
+            ref = 4.0 * pe**2 / (gamma * math.sqrt(math.pi)) * outer
+            res = lambda11_general(FlowSpec.general(series), gamma, pe)
+            assert abs(res.integral - ref) <= 1e-14 * ref
+
+    def test_resolvent_rates_leave_the_scan_cache_alone(self):
+        # the resolvent's rates follow gamma, so their scan weights are not cached
+        a1, a2 = GridFunction(NODES, NODES**2 + 0.2), GridFunction(NODES, np.cos(np.pi * NODES))
+        series = HermiteSeries([GridFunction(NODES, NODES - 0.5), a1, a2, ZEROS])
+        before = _cached_scan_weights.cache_info()
+        lambda2_general(FlowSpec.general(series), 1.7, 2.0)
+        assert _cached_scan_weights.cache_info() == before
 
     def test_lambda11_zero_mean(self):
         series = hermite_project(lambda y, xi: np.cos(np.pi * y) * xi, 1.0, 8, NODES)

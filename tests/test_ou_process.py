@@ -284,6 +284,20 @@ class TestDecayScan:
             assert np.array_equal(out[i, j], _decay_scan(inp[i, j], d[j]))
         assert np.array_equal(_decay_scan(inp, d[2:3] * 6), _decay_scan(inp, d[2]))
 
+    def test_nine_rate_stack_rows_are_their_float_rate_scans(self):
+        # a list of rates takes its weights from one power call and a float
+        # rate from the cache; both give every row the same bits, for nine
+        # resolvent-like rates in one block (m = 1) and for nine rates that
+        # split into several m, some shared
+        rng = np.random.default_rng(14)
+        resolvent = [math.exp(-math.sqrt(2.5 * n) / 512) for n in range(1, 10)]
+        mixed = [math.exp(-c) for c in (1e-3, 0.02, 0.07, 0.1, 0.2, 0.5, 0.9, 1.5, 3.0)]
+        for d, n in ((resolvent, 513), (mixed, 3_000)):
+            inp = rng.standard_normal((2, len(d), n))
+            out = _decay_scan(inp, d)
+            for i, j in np.ndindex(*inp.shape[:2]):
+                assert np.array_equal(out[i, j], _decay_scan(inp[i, j], d[j]))
+
     def test_leaves_input_alone(self):
         inp = np.arange(5.0)
         out = _decay_scan(inp, 0.0)

@@ -273,6 +273,17 @@ class TestHermite:
             hn = _unit_series(n).vbar(z)
             assert np.sum(w * hn * hn) / np.sqrt(np.pi) == pytest.approx(hermite_norm(n), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [512, 510], ids=["boole", "simpson"])
+    def test_mean_coefficients_are_the_means(self, n):
+        # one stacked product whose rows numpy sums as GridFunction.mean does
+        nodes = np.linspace(0.0, 1.0, n + 1)
+        rng = np.random.default_rng(n)
+        coeffs = [GridFunction(nodes, rng.normal() * np.cos((k + 1) * nodes) + rng.normal(size=n + 1))
+                  for k in range(9)]
+        coeffs[0] = coeffs[0].centered()
+        abar = HermiteSeries(coeffs).mean_coefficients()
+        assert np.array_equal(abar, [c.mean() for c in coeffs])
+
     def test_series_matches_mode_loop(self):
         # reference: the mode-by-mode sum with H_n from the three-term recurrence
         def h(n, z):
