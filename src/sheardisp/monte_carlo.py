@@ -36,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ou_process import OUPath, _require_positive, _require_whole, _step_count, realization_seed
+from .ou_process import (OUPath, _require_finite, _require_positive, _require_whole,
+                         _step_count, realization_seed)
 from .eff_diffusivity import EigenData, FlowSpec
 from .aris_solver import ArisRecord
 
@@ -292,11 +293,14 @@ def wind_model_solution(x, t: float, path: OUPath, eigen: EigenData, ubar: float
     smoothed by the heat kernel with diffusivity kappa_eff,
 
         T(x, t) = init.value(x - Pe ubar I(t), kappa_eff t).
-    """
-    _require_positive(kappa_eff=eigen.kappa_eff)
+
+    A non-finite ubar or a kappa_eff <= 0 raises ``ValueError``."""
+    kappa = eigen.kappa_eff
+    _require_positive(kappa_eff=kappa)
+    _require_finite(ubar=ubar)
     drift = eigen.pe * ubar * path.integral_at(t)
     x_rel = np.asarray(x, dtype=float) - drift
-    return (init or InitialData.delta_line()).value(x_rel, eigen.kappa_eff * t)
+    return (init or InitialData.delta_line()).value(x_rel, kappa * t)
 
 
 def simulate_random_wave(a: float, pe: float, ubar: float,
@@ -313,10 +317,10 @@ def simulate_random_wave(a: float, pe: float, ubar: float,
     its decay exp(-a^2 kappa_eff t) (regime flag: the rescaling neglects
     O(a^2 t) decay curvature, so a^2 t should stay small on the longest
     path); without paths the phase is drawn uniform, which is the
-    long-time law.
-    """
+    long-time law.  A non-finite pe, ubar or x raises ``ValueError`` either way."""
     if not 0 < a < math.inf:
         raise ValueError(f"random-wave wavenumber a must be finite and positive, got {a!r}")
+    _require_finite(pe=pe, ubar=ubar, x=x)
     rng = np.random.default_rng(realization_seed(seed, 0))
     if paths is not None:
         if not paths:

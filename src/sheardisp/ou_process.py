@@ -40,7 +40,7 @@ class OUPath:
     values), all fixed at construction.
 
     A grid that is not uniform from 0 with at least two nodes, or values
-    without one entry per node, raises ``ValueError``.
+    that are not finite or not one per node, raise ``ValueError``.
     """
 
     times: np.ndarray
@@ -51,23 +51,30 @@ class OUPath:
     def __post_init__(self):
         t = self.times = np.asarray(self.times, dtype=float)
         self.dt = dt = _grid_step(t)
-        if not np.abs(t - _grid_ramp(dt, t.size)).max() <= 1e-9 * dt:
+        gap = abs(t - _grid_ramp(dt, t.size))      # abs() of a long temporary reuses it
+        # gap at argmax is the max (the first NaN if any) without a ufunc reduce
+        if not gap[gap.argmax()] <= 1e-9 * dt:
             raise ValueError("path grid must be uniform and start at 0")
-        if np.shape(self.values) != t.shape:
+        del gap                                     # free before the integral allocates
+        v = self.values = np.asarray(self.values, dtype=float)
+        if v.shape != t.shape:
             raise ValueError("values must have one entry per grid node")
-        self.values = np.asarray(self.values, dtype=float)
-        self.integral = _cumtrapz(self.values, dt)
+        self.integral = _cumtrapz(v, dt)
+        if not math.isfinite(self.integral[-1]):    # a nan or inf value, or an overflow
+            raise ValueError("values must be finite, and so must their running integral")
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
     def integral_at(self, t: float) -> float:
-        """Linear interpolation of I(t) between grid nodes; a t outside the
-        path's span (beyond a 1e-9 dt roundoff slack) raises ``ValueError``."""
-        if not -1e-9 * self.dt <= t <= self.t_end + 1e-9 * self.dt:
-            raise ValueError(f"t={t!r} is outside the path's span [0, {self.t_end!r}]")
-        return float(np.interp(t, self.times, self.integral))
+        """Linear interpolation of I(t) between grid nodes, the last node's I
+        at or past ``t_end`` (as ``np.interp``); a t outside the path's span
+        (beyond a 1e-9 dt roundoff slack) raises ``ValueError``."""
+        t_end, slack = self.t_end, 1e-9 * self.dt
+        if not -slack <= t <= t_end + slack:
+            raise ValueError(f"t={t!r} is outside the path's span [0, {t_end!r}]")
+        return float(self.integral[-1] if t >= t_end else np.interp(t, self.times, self.integral))
 
     def to_csv(self, path) -> None:
         _write_csv(path, "t,xi,integral", [self.times, self.values, self.integral])
@@ -161,14 +168,6 @@ def _grid_ramp(dt: float, n: int) -> np.ndarray:
     return ramp
 
 
-def _draw_ou_values(gamma: float, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    decay, var = transition_moments(gamma, _grid_step(t))
-    inp = rng.standard_normal(t.size)
-    inp[0] *= math.sqrt(0.5 * gamma)
-    inp[1:] *= math.sqrt(var)
-    return _decay_scan(inp, decay)
-
-
 def _scan_weights(d, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(d^j, d^-j), j = 0..length-1, for a float d or a column of rates; d^-j < e^200."""
     j = np.arange(length, dtype=float)
@@ -190,31 +189,38 @@ def _decay_scan(inp: np.ndarray, d) -> np.ndarray:
     the previous block's last local value; the carry from two blocks back,
     below d^L < e^-100, is dropped.  The rows of one m form one stack.
     Float rates (OU paths, Aris modes) recur, so their weights are cached; a
-    list (resolvent rates, set by each call's gamma) gets one power call."""
-    n, ds = inp.shape[-1], ([d] if isinstance(d, float) else d)
-    # m per rate; m = 0 marks d = 1 (a cumsum), m = -1 marks d = 0 (y = inp)
-    counts = [-(-n // math.ceil(200.0 / -math.log(v))) if 0.0 < v < 1.0 else int(v) - 1 for v in ds]
-    if len(set(counts)) > 1:
-        rows, out = inp.reshape(-1, len(ds), n), np.empty(inp.shape)
-        for m in set(counts):
-            sel = np.equal(counts, m)
-            ds_m = [v for v, c in zip(ds, counts) if c == m]
-            out.reshape(rows.shape)[:, sel] = _decay_scan(rows[:, sel], ds_m)
-        return out
-    m = counts[0]
-    if m < 1:
-        return np.cumsum(inp, axis=-1) if m == 0 else inp.copy()
-    length = -(-n // m)
-    up, down = (_cached_scan_weights(d, length) if isinstance(d, float) else
-                _scan_weights(np.array(ds)[:, None], length))
+    list (resolvent rates, set by each call's gamma) gets one power call.  A
+    float rate in one block (m = 1: a short OU path) goes straight to its
+    weights.  Sums run in ``np.add.accumulate``, ``np.cumsum``'s own loop."""
+    n = inp.shape[-1]
+    if isinstance(d, float) and 0.0 < d < 1.0 and n <= math.ceil(200.0 / -math.log(d)):
+        m, (up, down) = 1, _cached_scan_weights(d, n)
+    else:
+        ds = [d] if isinstance(d, float) else d
+        # m per rate; m = 0 marks d = 1 (a cumsum), m = -1 marks d = 0 (y = inp)
+        counts = [-(-n // math.ceil(200.0 / -math.log(v))) if 0.0 < v < 1.0 else int(v) - 1
+                  for v in ds]
+        if len(set(counts)) > 1:
+            rows, out = inp.reshape(-1, len(ds), n), np.empty(inp.shape)
+            for m in set(counts):
+                sel = np.equal(counts, m)
+                ds_m = [v for v, c in zip(ds, counts) if c == m]
+                out.reshape(rows.shape)[:, sel] = _decay_scan(rows[:, sel], ds_m)
+            return out
+        m = counts[0]
+        if m < 1:
+            return np.add.accumulate(inp, axis=-1) if m == 0 else inp.copy()
+        length = -(-n // m)
+        up, down = (_cached_scan_weights(d, length) if isinstance(d, float) else
+                    _scan_weights(np.array(ds)[:, None], length))
     if m == 1:                              # no padding and no carry
         out = inp * down
-        np.cumsum(out, axis=-1, out=out)
+        np.add.accumulate(out, axis=-1, out=out)
         return np.multiply(out, up, out=out)
     blocks = np.zeros(inp.shape[:-1] + (m, length))
     blocks.reshape(inp.shape[:-1] + (-1,))[..., :n] = inp
     blocks *= down[..., None, :]
-    np.cumsum(blocks, axis=-1, out=blocks)
+    np.add.accumulate(blocks, axis=-1, out=blocks)
     carry = np.asarray(d)[..., None, None] * up[..., None, -1:]       # d^L per row
     blocks[..., 1:, :] += carry * blocks[..., :-1, -1:]
     blocks *= up[..., None, :]
@@ -231,15 +237,20 @@ def sample_ou(params: OUParams, t_grid: np.ndarray, seed: int,
     """
     t = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(realization_seed(seed, realization))
-    return OUPath(times=t, values=_draw_ou_values(params.gamma, t, rng))
+    decay, var = transition_moments(params.gamma, _grid_step(t))
+    inp = rng.standard_normal(t.size)
+    inp[0] *= math.sqrt(0.5 * params.gamma)
+    inp[1:] *= math.sqrt(var)
+    return OUPath(times=t, values=_decay_scan(inp, decay))
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoidal integral on a uniform grid of step dt, zero at the first node."""
+    """Running trapezoidal integral on a uniform grid of step dt, zero at the
+    first node: ``np.add.accumulate`` (cumsum's loop) of dt (v_k + v_{k+1})/2."""
     out = np.empty(values.size)
     out[0] = 0.0
     steps = np.add(values[:-1], values[1:], out=out[1:])
-    np.cumsum(np.multiply(steps, 0.5 * dt, out=steps), out=steps)
+    np.add.accumulate(np.multiply(steps, 0.5 * dt, out=steps), out=steps)
     return out
 
 

@@ -60,6 +60,28 @@ BAD_INPUTS = {
     # a bool is not a count: True once read as one particle or n_max = 1
     "sim_config_bool_particles": (lambda: SimConfig(n_particles=True), "n_particles"),
     "cosine_project_bool": (lambda: cosine_project(linear_profile(), True), "n_max"),
+    # a non-finite ubar once gave a NaN (or an all-zero) wind-model field
+    "wind_model_ubar_nan": (lambda: wind_model_solution(
+        0.0, 1.0, sample_ou(OUParams(1.0), _GRID, seed=0),
+        lambda_multiplicative(linear_profile(), 1.0, 1.0), math.nan), "ubar"),
+    "wind_model_ubar_inf": (lambda: wind_model_solution(
+        0.0, 1.0, sample_ou(OUParams(1.0), _GRID, seed=0),
+        lambda_multiplicative(linear_profile(), 1.0, 1.0), math.inf), "ubar"),
+    # random-wave inputs are checked on both branches, even where unused
+    "random_wave_pe_nan": (lambda: simulate_random_wave(0.5, math.nan, 0.5, n=10), "pe"),
+    "random_wave_ubar_nan": (lambda: simulate_random_wave(0.5, 1.0, math.nan, n=10), "ubar"),
+    "random_wave_x_nan": (lambda: simulate_random_wave(0.5, 1.0, 0.5, n=10, x=math.nan), "x"),
+    "random_wave_paths_pe_nan": (lambda: simulate_random_wave(
+        0.1, math.nan, 0.5, paths=[sample_ou(OUParams(1.0), _GRID, seed=0)]), "pe"),
+    "random_wave_paths_ubar_inf": (lambda: simulate_random_wave(
+        0.1, 1.0, math.inf, paths=[sample_ou(OUParams(1.0), _GRID, seed=0)]), "ubar"),
+    "random_wave_paths_x_nan": (lambda: simulate_random_wave(
+        0.1, 1.0, 0.5, paths=[sample_ou(OUParams(1.0), _GRID, seed=0)], x=math.nan), "x"),
+    # values [0, nan, 1, ...] once integrated to [0, nan, nan, ...]
+    "ou_path_values_nan": (lambda: OUPath(times=_GRID, values=np.r_[0.0, math.nan, np.ones(9)]),
+                           "values"),
+    "ou_path_values_inf": (lambda: OUPath(times=_GRID, values=np.r_[np.zeros(10), math.inf]),
+                           "values"),
 }
 
 

@@ -9,6 +9,7 @@ from sheardisp.ou_process import (
     OUParams,
     OUPath,
     _CSV_BLOCK,
+    _cumtrapz,
     _decay_scan,
     _write_csv,
     integral_variance,
@@ -40,6 +41,9 @@ class TestParamsAndPathValidation:
             sample_ou(OUParams(1.0), np.array([]), seed=0)
         with pytest.raises(ValueError, match="uniform"):
             OUPath(times=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
+        for bad in (math.nan, math.inf):        # a NaN or inf node past the first step
+            with pytest.raises(ValueError, match="uniform"):
+                OUPath(times=np.array([0.0, 0.1, 0.2, bad, 0.4]), values=np.zeros(5))
         # trapezoids of 0.5: I = [0, 0.3, -0.1]
         p = OUPath(times=time_grid(1.0, 0.5), values=np.array([0.0, 1.2, -2.8]))
         assert p.dt == 0.5
@@ -52,6 +56,26 @@ class TestParamsAndPathValidation:
         for t in (-1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="span"):
                 p.integral_at(t)
+
+    def test_integral_at_the_end_is_interp(self):
+        # at and just past t_end integral_at returns the last node's I
+        # directly; that is np.interp's value there, bit for bit
+        p = sample_ou(OUParams(1.0), time_grid(1.0, 1e-3), seed=3, realization=1)
+        for t in (p.t_end, p.t_end + 0.5e-9 * p.dt, p.times[-2], 0.4567):
+            assert p.integral_at(t) == float(np.interp(t, p.times, p.integral))
+
+    def test_path_rejects_an_integral_that_overflows(self):
+        # finite values whose running sum passes the largest float (NaN and
+        # inf values are BAD_INPUTS rows in test_monte_carlo.py)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^values must be finite"):
+            OUPath(times=time_grid(10.0, 1.0), values=np.full(11, 8e307))
+
+    @pytest.mark.parametrize("n", [2, 1_001, 80_001])
+    def test_cumtrapz_is_the_cumsum_formula(self, n):
+        values = np.random.default_rng(n).standard_normal(n)
+        dt = 1.0 / (n - 1)
+        ref = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * (0.5 * dt))])
+        assert np.array_equal(_cumtrapz(values, dt), ref)
 
     @pytest.mark.parametrize("t_end, dt, field", [
         (math.inf, 0.1, "t_end"), (math.nan, 0.1, "t_end"), (-1.0, 0.1, "t_end"),
@@ -297,6 +321,21 @@ class TestDecayScan:
             out = _decay_scan(inp, d)
             for i, j in np.ndindex(*inp.shape[:2]):
                 assert np.array_equal(out[i, j], _decay_scan(inp[i, j], d[j]))
+
+    @pytest.mark.parametrize("d", [0.999, math.exp(-0.2), 0.5, math.exp(-1e-3)])
+    def test_one_block_float_branch_is_the_general_scan(self, d):
+        # a float rate in one block skips the per-rate bookkeeping; at
+        # L - 1, L and L + 1 it gives the bits of the same rate as a
+        # one-entry list, and in one block those of cumsum on d^-j weights
+        length = math.ceil(200.0 / -math.log(d))
+        rng = np.random.default_rng(15)
+        for n in (length - 1, length, length + 1):
+            inp = rng.standard_normal(n)
+            out = _decay_scan(inp, d)
+            assert np.array_equal(out, _decay_scan(inp[None, :], [d])[0])
+            if n <= length:
+                j = np.arange(n, dtype=float)
+                assert np.array_equal(out, np.cumsum(inp * d**-j) * d**j)
 
     def test_leaves_input_alone(self):
         inp = np.arange(5.0)
