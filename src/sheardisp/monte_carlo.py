@@ -146,6 +146,12 @@ def _apply_bc(y: np.ndarray, bc: str, out: np.ndarray, work: np.ndarray) -> np.n
     return out
 
 
+def _particle_rng(seed: int, realization: int) -> np.random.Generator:
+    """Particle noise (starts, Brownian increments, final x) from SFC64, whose normals
+    cost less than PCG64's; OU paths and random-wave amplitudes keep PCG64."""
+    return np.random.Generator(np.random.SFC64(realization_seed(seed, realization)))
+
+
 def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
     n_steps = _step_count(t_end, dt)
     if path is not None:
@@ -201,9 +207,9 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     """Forward particle ensemble for one flow realization.
 
     ``path`` supplies the shared xi realization (required unless the flow
-    is steady); randomness beyond xi is the per-particle Brownian noise,
-    seeded from (cfg.seed, realization).  Particles start uniform in y and
-    walk between the walls the flow declares (``flow.bc``).  The Aris
+    is steady); randomness beyond xi is the per-particle noise, from SFC64
+    seeded with ``realization_seed(cfg.seed, realization)``.  Particles
+    start uniform in y and walk between the flow's walls (``flow.bc``).  The Aris
     record is exact given the y-paths: with m = Pe D and s the data
     variance (0 for the delta line, subtracted by ``kappa_estimate``),
     T1bar = <m>, T2bar = <m^2> + 2t + s, and ``final_x`` is drawn from
@@ -221,7 +227,7 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
         raise ValueError("random-wave data are signed and cannot be carried by particles")
     s = init.s or 0.0
     n_steps = _step_indices(path, t_end, dt)
-    rng = np.random.default_rng(realization_seed(cfg.seed, realization))
+    rng = _particle_rng(cfg.seed, realization)
     y = rng.uniform(0.0, 1.0, cfg.n_particles)
 
     stride = max(1, n_steps // _N_RECORD)
@@ -256,9 +262,10 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
     realization of the random field.  Given the y-walk's D the start point
     is x - Pe D - sqrt(2t) Z, and Z is averaged out exactly: the estimate
     is the mean of ``init.value(x - Pe D, t)`` over the walks, which run
-    between the walls the flow declares (``flow.bc``) and are seeded from
-    cfg.seed.  ``x`` may be an array: one walk then serves every x, and
-    each entry gets the value a scalar call at that x returns.
+    between the flow's walls (``flow.bc``) and draw their noise from SFC64
+    seeded with ``realization_seed(cfg.seed, 0)``.  ``x`` may be an array:
+    one walk then serves every x, and each entry gets the value a scalar
+    call at that x returns.
 
     Returns (estimate, standard error), floats for scalar x and arrays of
     x's shape otherwise.  A start point off the channel (y outside [0, 1]),
@@ -270,7 +277,7 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
     if cfg.n_particles < 2:
         raise ValueError(f"a standard error needs n_particles >= 2, got {cfg.n_particles}")
     n_steps = _step_indices(path, t, cfg.dt)
-    rng = np.random.default_rng(realization_seed(cfg.seed, 0))
+    rng = _particle_rng(cfg.seed, 0)
     n = cfg.n_particles
     # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
     xi_mid = _xi_midpoints(path, n_steps)[::-1]

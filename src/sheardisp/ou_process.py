@@ -59,8 +59,12 @@ class OUPath:
         v = self.values = np.asarray(self.values, dtype=float)
         if v.shape != t.shape:
             raise ValueError("values must have one entry per grid node")
-        self.integral = _cumtrapz(v, dt)
-        if not math.isfinite(self.integral[-1]):    # a nan or inf value, or an overflow
+        try:
+            self.integral = _cumtrapz(v, dt)
+            finite = math.isfinite(self.integral[-1])   # a nan or inf value, or an overflow
+        except RuntimeWarning:      # inf - inf or an overflow, with warnings as errors
+            finite = False
+        if not finite:
             raise ValueError("values must be finite, and so must their running integral")
 
     @property

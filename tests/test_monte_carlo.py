@@ -82,6 +82,11 @@ BAD_INPUTS = {
                            "values"),
     "ou_path_values_inf": (lambda: OUPath(times=_GRID, values=np.r_[np.zeros(10), math.inf]),
                            "values"),
+    # inf + (-inf) warns in the trapezoid; as an error that warning once
+    # reached the caller in place of the named ValueError
+    "ou_path_values_opposite_infinities": (lambda: OUPath(times=time_grid(1.0, 0.5),
+                                                          values=[math.inf, -math.inf, 0.0]),
+                                           "values"),
 }
 
 
@@ -386,12 +391,30 @@ class TestForwardSimulation:
                                InitialData.delta_line(), 2.0, cfg, path,
                                keep_positions=True)
         assert np.all((res.final_y >= 0) & (res.final_y <= 1))
-        rng = np.random.default_rng(realization_seed(cfg.seed, 0))
+        rng = monte_carlo._particle_rng(cfg.seed, 0)
         y = rng.uniform(0.0, 1.0, cfg.n_particles)
         for _ in range(200):
             y = y + math.sqrt(2.0 * cfg.dt) * rng.standard_normal(cfg.n_particles)
             y = y - np.floor(y)
         np.testing.assert_array_equal(res.final_y, y)
+
+    def test_same_seed_repeats_and_realizations_differ(self):
+        # the particle noise is a pure function of (cfg.seed, realization)
+        u = GridFunction.from_callable(lambda y: y + 0.5, 128)
+        path = sample_ou(OUParams(1.0), time_grid(0.5, 0.01), seed=5)
+        cfg = SimConfig(dt=0.01, n_particles=500, seed=6, pe=2.0)
+
+        def run(realization):
+            return simulate_forward(FlowSpec.multiplicative(u), 1.0, InitialData.delta_line(),
+                                    0.5, cfg, path, keep_positions=True,
+                                    realization=realization)
+
+        first, again, other = run(1), run(1), run(2)
+        for name in ("t1bar", "t2bar", "final_x", "final_y"):
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
+        assert first.kappa_se == again.kappa_se
+        assert not np.any(first.final_y == other.final_y)
+        assert not np.any(first.final_x == other.final_x)
 
     def test_large_dt_walk_stays_inside(self, fold_calls):
         # sqrt(2 dt) = 1: steps overshoot by more than a channel width and
@@ -444,6 +467,20 @@ class TestBackwardEvaluation:
         got = evaluate_point_backward(*args)
         monkeypatch.setattr(monte_carlo, "_y_walk", _reference_walk)
         assert got == evaluate_point_backward(*args)
+
+    def test_same_seed_repeats_and_seeds_differ(self):
+        # repeated calls walk the same noise; another cfg.seed walks new noise
+        u = GridFunction.from_callable(lambda y: y + 0.5, 128)
+        path = sample_ou(OUParams(1.0), time_grid(0.5, 0.01), seed=8)
+        args = (FlowSpec.multiplicative(u), 1.0, path, np.array([-0.5, 0.3]), 0.2, 0.5,
+                InitialData.gaussian(0.5))
+        cfg = SimConfig(dt=0.01, n_particles=1_000, seed=4, pe=2.0)
+        first = evaluate_point_backward(*args, cfg)
+        again = evaluate_point_backward(*args, cfg)
+        other = evaluate_point_backward(*args, SimConfig(dt=0.01, n_particles=1_000,
+                                                         seed=5, pe=2.0))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert not np.any(first[0] == other[0])
 
     def test_array_x_matches_scalar_calls(self):
         # one walk serves every x; each entry has the bits of its scalar call
@@ -522,7 +559,7 @@ class TestBackwardEvaluation:
         cfg = SimConfig(dt=1e-3, n_particles=10_000, seed=5, pe=pe)
         x = pe * u.mean() * path.integral[-1] + dx
 
-        rng = np.random.default_rng(realization_seed(cfg.seed, 0))
+        rng = monte_carlo._particle_rng(cfg.seed, 0)
         xi_mid = monte_carlo._xi_midpoints(path, 1000)[::-1]
         for _, drift in _y_walk(flow, gamma, xi_mid, np.full(cfg.n_particles, 0.5), cfg, rng):
             pass

@@ -81,6 +81,33 @@ class TestGridFunction:
         bound = 4 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.diff(g.values))) / g.h)
         assert np.max(np.abs(g(y) - np.interp(y, g.nodes, g.values))) <= bound
 
+    def test_lookup_is_the_allocating_formula(self):
+        # bit for bit the allocating v_i + (s - i) slope_i with an integer
+        # gather, on arrays, Python floats and 0-d arrays, NaN, values off
+        # [0, 1], exact nodes and y = 1, with and without out (y itself)
+        def reference(g, y):
+            n = g.nodes.size - 1
+            s = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * n
+            i = np.fmin(np.floor(s), n)
+            k = i.astype(np.intp)
+            return g.values[k] + (s - i) * np.ediff1d(g.values, to_end=0.0)[k]
+
+        rng = np.random.default_rng(3)
+        for n in (8, 10, 510, 512):
+            g = GridFunction.from_callable(lambda y: np.sin(7 * y) + y**3 - 0.3, n)
+            y = np.concatenate((rng.uniform(-0.5, 1.5, 10_000), g.nodes,
+                                [np.nan, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                                 -np.inf, np.inf, -1e300, 1e300]))
+            ref = reference(g, y)
+            assert np.array_equal(g(y), ref, equal_nan=True)
+            aliased = y.copy()
+            assert g(aliased, out=aliased) is aliased
+            assert np.array_equal(aliased, ref, equal_nan=True)
+            for v in (0.3, 1.0, 0.0, -2.0, 7.5, math.nan, g.nodes[3], np.array(0.625)):
+                got = g(v)
+                assert type(got) is np.float64
+                assert np.array_equal(got, reference(g, v), equal_nan=True), (n, v)
+
     def test_quadrature(self):
         g = GridFunction.from_callable(lambda y: np.sin(np.pi * y), 128)
         assert abs(g.mean() - 2 / np.pi) < 1e-8
