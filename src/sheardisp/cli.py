@@ -230,6 +230,9 @@ def cmd_aris(cfg: dict) -> int:
     if cfg["t_end"] < 2.0 * MIN_WINDOW:
         raise SystemExit(f"config field t_end={cfg['t_end']!r} below {2.0 * MIN_WINDOW:g}, "
                          f"twice the {MIN_WINDOW:g}-time window of the kappa slope estimate")
+    if cfg["dt"] > cfg["t_end"] / 2.0:
+        raise SystemExit(f"config field dt={cfg['dt']!r} above {cfg['t_end'] / 2.0:g}, half "
+                         "of t_end: the kappa slope window needs two record times")
     u = _load_profile(cfg["flow"])
     out = _outdir(cfg)
     grid = time_grid(cfg["t_end"], cfg["dt"])

@@ -131,18 +131,22 @@ def _apply_bc(y: np.ndarray, bc: str, out: np.ndarray, work: np.ndarray) -> np.n
     No-flux walls reflect once, y -> min(|y|, 2 - |y|) = 1 - |1 - |y||,
     which is exact for |y| <= 2; only a step that overshoots further lands
     below 0 there, and then the whole array takes the exact ``_fold`` of
-    the unfolded y.  The result is built in ``out`` and returned; ``work``
-    is scratch for the no-flux fold.  Both have y's shape and neither may
-    be y itself.
+    the unfolded y.  Every rule lands at or below 1, so a minimum below 0
+    or NaN means a particle left the channel.  The result is built in ``out``;
+    ``work`` is no-flux scratch.  Both have y's shape; neither may be y.
     """
     if bc == "periodic":
         np.floor(y, out=out)
-        return np.subtract(y, out, out=out)
-    np.abs(y, out=out)
-    np.subtract(2.0, out, out=work)
-    np.minimum(out, work, out=out)
-    if out.min() < 0.0:
+        np.subtract(y, out, out=out)
+    else:
+        np.abs(y, out=out)
+        np.subtract(2.0, out, out=work)
+        np.minimum(out, work, out=out)
+    if (lo := out.min()) < 0.0:    # a no-flux step past 2; a wrap is never negative
         out[...] = _fold(y)
+        lo = out.min()
+    if not lo >= 0.0:
+        raise AssertionError("particle left the channel: reflection broke mass conservation")
     return out
 
 
@@ -150,16 +154,6 @@ def _particle_rng(seed: int, realization: int) -> np.random.Generator:
     """Particle noise (starts, Brownian increments, final x) from SFC64, whose normals
     cost less than PCG64's; OU paths and random-wave amplitudes keep PCG64."""
     return np.random.Generator(np.random.SFC64(realization_seed(seed, realization)))
-
-
-def _step_indices(path: Optional[OUPath], t_end: float, dt: float) -> int:
-    n_steps = _step_count(t_end, dt)
-    if path is not None:
-        if abs(path.dt - dt) > 1e-9 * dt:
-            raise ValueError("path grid must coincide with the stepping grid")
-        if path.times.size < n_steps + 1:
-            raise ValueError("path does not cover [0, t_end] at the stepping resolution")
-    return n_steps
 
 
 def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
@@ -189,14 +183,18 @@ def _y_walk(flow: FlowSpec, gamma: float, xi_mid: np.ndarray, y: np.ndarray,
         z *= sqrt2dt
         z += y
         _apply_bc(z, flow.bc, out=y, work=v)
-        if not (y.min() >= 0.0 and y.max() <= 1.0):
-            raise AssertionError("particle left the channel: reflection broke mass conservation")
         yield y, drift
 
 
-def _xi_midpoints(path: Optional[OUPath], n_steps: int) -> np.ndarray:
+def _xi_midpoints(path: Optional[OUPath], t_end: float, dt: float) -> np.ndarray:
+    """xi at the step midpoints over [0, t_end] (zeros without a path), checked against the grid."""
+    n_steps = _step_count(t_end, dt)
     if path is None:
         return np.zeros(n_steps)
+    if abs(path.dt - dt) > 1e-9 * dt:
+        raise ValueError("path grid must coincide with the stepping grid")
+    if path.times.size < n_steps + 1:
+        raise ValueError("path does not cover [0, t_end] at the stepping resolution")
     xi = path.values[:n_steps + 1]
     return 0.5 * (xi[:-1] + xi[1:])
 
@@ -226,13 +224,13 @@ def simulate_forward(flow: FlowSpec, gamma: float, init: InitialData, t_end: flo
     if init.kind == "random-wave":
         raise ValueError("random-wave data are signed and cannot be carried by particles")
     s = init.s or 0.0
-    n_steps = _step_indices(path, t_end, dt)
+    xi_mid = _xi_midpoints(path, t_end, dt)
+    n_steps = xi_mid.size
     rng = _particle_rng(cfg.seed, realization)
     y = rng.uniform(0.0, 1.0, cfg.n_particles)
 
     stride = max(1, n_steps // _N_RECORD)
     rec_t, rec_m1, rec_m2 = [], [], []
-    xi_mid = _xi_midpoints(path, n_steps)
     for k, (y, drift) in enumerate(_y_walk(flow, gamma, xi_mid, y, cfg, rng)):
         if k % stride == 0 or k == n_steps:
             m = cfg.pe * drift
@@ -276,11 +274,10 @@ def evaluate_point_backward(flow: FlowSpec, gamma: float, path: OUPath,
         raise ValueError(f"need finite x and y in [0, 1], got x={x!r}, y={y!r}")
     if cfg.n_particles < 2:
         raise ValueError(f"a standard error needs n_particles >= 2, got {cfg.n_particles}")
-    n_steps = _step_indices(path, t, cfg.dt)
+    # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
+    xi_mid = _xi_midpoints(path, t, cfg.dt)[::-1]
     rng = _particle_rng(cfg.seed, 0)
     n = cfg.n_particles
-    # backward clock: step k uses xi over [t-(k+1)dt, t-k dt]
-    xi_mid = _xi_midpoints(path, n_steps)[::-1]
     for _, drift in _y_walk(flow, gamma, xi_mid, np.full(n, float(y)), cfg, rng):
         pass
     vals = init.value(xs[..., None] - cfg.pe * drift, t)

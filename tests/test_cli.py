@@ -279,6 +279,18 @@ class TestAris:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["kappa_eff_closed_form"] == pytest.approx(closed)
 
+    def test_one_step_run_is_rejected_before_output(self, tmp_path, capsys):
+        # the slope window [t_end/2, t_end] needs two record times, so
+        # dt <= t_end/2; a one-step run once wrote aris_0000.csv and then
+        # died in kappa_from_realization with no summary or manifest
+        with pytest.raises(SystemExit, match=r"config field dt=20\.0 above 10, half of t_end"):
+            main(["aris", "--t-end", "20", "--dt", "20", "--outdir", str(tmp_path / "one")])
+        assert not list(tmp_path.glob("one/aris_*.csv"))
+        # two steps are enough
+        code, _ = run_cli(["aris", "--t-end", "20", "--dt", "10", "--outdir",
+                           str(tmp_path / "two")], capsys)
+        assert code == 0 and (tmp_path / "two" / "manifest.json").is_file()
+
     def test_manifest_determinism(self, tmp_path, capsys):
         args = ["aris", "--flow", "linear", "--t-end", "20", "--dt", "0.01",
                 "--seed", "3"]

@@ -236,6 +236,8 @@ class TestConfigAndInitialData:
         assert np.max(np.abs(_bc(y, "no-flux") - _fold(y))) <= 2.3e-16
         periodic = _bc(np.concatenate((y, [-1e-17, -25.3, 25.7])), "periodic")
         assert periodic.min() >= 0.0 and periodic.max() <= 1.0
+        # -1e-17 - floor(-1e-17) rounds to exactly the wall, which is on the channel
+        assert periodic[y.size] == 1.0
 
     def test_fold_fallback_only_on_overshoot(self, fold_calls):
         # the one reflection is exact for |y| <= 2, so -1.3 and 1.9 stay on it
@@ -248,11 +250,12 @@ class TestConfigAndInitialData:
 
     def test_walk_rejects_nan_positions(self):
         v = GridFunction.from_callable(lambda y: y - 0.5, 64)
-        walk = _y_walk(FlowSpec.steady(v), 1.0, np.zeros(1), np.array([np.nan, 0.5]),
-                       SimConfig(dt=0.01, n_particles=2), np.random.default_rng(0))
-        next(walk)
-        with pytest.raises(AssertionError):
+        for bc in ("no-flux", "periodic"):
+            walk = _y_walk(FlowSpec.steady(v, bc), 1.0, np.zeros(1), np.array([np.nan, 0.5]),
+                           SimConfig(dt=0.01, n_particles=2), np.random.default_rng(0))
             next(walk)
+            with pytest.raises(AssertionError, match="particle left the channel"):
+                next(walk)
 
 
 class TestForwardSimulation:
@@ -560,7 +563,7 @@ class TestBackwardEvaluation:
         x = pe * u.mean() * path.integral[-1] + dx
 
         rng = monte_carlo._particle_rng(cfg.seed, 0)
-        xi_mid = monte_carlo._xi_midpoints(path, 1000)[::-1]
+        xi_mid = monte_carlo._xi_midpoints(path, 1.0, 1e-3)[::-1]
         for _, drift in _y_walk(flow, gamma, xi_mid, np.full(cfg.n_particles, 0.5), cfg, rng):
             pass
         x0 = x - pe * drift + math.sqrt(2.0 * t) * rng.standard_normal(cfg.n_particles)
@@ -611,6 +614,23 @@ def test_bad_t_end_raises(solver, t_end):
         else:
             evaluate_point_backward(FlowSpec.multiplicative(u), 1.0, path, 0.0, 0.5,
                                     t_end, InitialData.gaussian(0.5), cfg)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (time_grid(1.0, 0.02), "coincide with the stepping grid"),
+    (time_grid(0.5, 0.01), "does not cover"),
+], ids=["coarser-path", "short-path"])
+@pytest.mark.parametrize("solver", ["forward", "backward"])
+def test_path_off_the_stepping_grid_raises(solver, grid, message):
+    flow = FlowSpec.multiplicative(linear_profile())
+    path = sample_ou(OUParams(1.0), grid, seed=3)
+    cfg = SimConfig(dt=0.01, n_particles=100, seed=4, pe=1.0)
+    with pytest.raises(ValueError, match=message):
+        if solver == "forward":
+            simulate_forward(flow, 1.0, InitialData.delta_line(), 1.0, cfg, path)
+        else:
+            evaluate_point_backward(flow, 1.0, path, 0.0, 0.5, 1.0,
+                                    InitialData.gaussian(0.5), cfg)
 
 
 class TestWindModel:
